@@ -57,7 +57,6 @@ __all__ = [
     "encode_full_batch",
     "encode_full_batch_into",
     "full_batch_wire_size",
-    "peek_full_batch_host",
     "scan_full_batch",
 ]
 
@@ -359,18 +358,6 @@ def scan_full_batch(data: bytes | memoryview) -> EncodedBatch:
         quarantined=quarantined,
     )
     return EncodedBatch(buf, meta, frames)
-
-
-def peek_full_batch_host(data: bytes | memoryview) -> str:
-    """Read just the host name off a full-batch frame (first field after
-    the version byte) — what ``scrubd`` keys its per-host shard queue on
-    without touching the rest of the frame."""
-    buf = memoryview(data)
-    if len(buf) < 1 or buf[0] != _FULL_BATCH_VERSION:
-        version = buf[0] if len(buf) else None
-        raise ValueError(f"unsupported batch encoding version: {version!r}")
-    host, _pos = _read_str(buf, 1)
-    return host
 
 
 def _retupled(value: Any) -> Any:

@@ -2,10 +2,9 @@
 
 The paper runs ScrubCentral as a dedicated multi-machine facility
 (Section 4); this module is the single-box analogue — N OS processes,
-each owning a shard of the event stream keyed by the request-id hash
-(the same key ``scrubd`` shards its asyncio queues by), so join
-co-location is preserved: every event of one request lands on one
-worker.
+each owning a shard of the event stream keyed by the request-id hash,
+so join co-location is preserved: every event of one request lands on
+one worker.
 
 Division of labour (docs/SCALING.md):
 

@@ -7,12 +7,13 @@ A single asyncio process that plays the roles the in-process façade
   registers a host (name, services, datacenter, event schemas) in the
   daemon's directory and then receives ``INSTALL``/``UNINSTALL`` pushes
   when queries target it;
-* accepts **agent data** connections (``DATA_HELLO``): decoded batches
-  are routed to N **shard workers** keyed on request-id hash — events of
-  one request always land on the same worker, preserving per-request
-  ingest order — which feed the shared :class:`CentralEngine`;
-  per-shard queues are bounded, so a slow engine backpressures the
-  socket instead of ballooning memory;
+* accepts **agent data** connections (``DATA_HELLO``): every ``BATCH``
+  payload goes, still undecoded, onto one bounded queue that a single
+  ingest task feeds to ``engine.ingest_frame`` — the serial
+  :class:`CentralEngine` decodes it there, a :class:`ShardPool` scans
+  and slices it to its worker processes; the queue is bounded, so a
+  slow engine backpressures the socket instead of ballooning memory,
+  and a corrupt payload is logged and counted, not fatal;
 * accepts **query control** connections: ``SUBMIT`` parses/validates/
   plans against the schemas agents announced, resolves the target over
   the *live* fleet membership (``repro.live.fleet``), samples hosts by
@@ -33,17 +34,12 @@ from __future__ import annotations
 
 import argparse
 import asyncio
+import signal
 import sys
 import time
-import zlib
 from dataclasses import dataclass, field
 from typing import Any, Callable, Optional, TextIO
 
-from ..core.agent.transport import (
-    EventBatch,
-    decode_full_batch,
-    peek_full_batch_host,
-)
 from ..core.agent.governor import ImpactBudget
 from ..core.central.engine import DEFAULT_GRACE_SECONDS, CentralEngine
 from ..core.central.pool import ShardPool
@@ -160,24 +156,6 @@ class _LiveQuery:
     controller: Optional[SamplingController] = None
 
 
-class _ShardBarrier:
-    """Completes once every shard worker has drained past it."""
-
-    __slots__ = ("_remaining", "_event")
-
-    def __init__(self, shards: int) -> None:
-        self._remaining = shards
-        self._event = asyncio.Event()
-
-    def hit(self) -> None:
-        self._remaining -= 1
-        if self._remaining <= 0:
-            self._event.set()
-
-    async def wait(self) -> None:
-        await self._event.wait()
-
-
 class ScrubDaemon:
     """The ScrubCentral facility as a network daemon."""
 
@@ -185,7 +163,6 @@ class ScrubDaemon:
         self,
         host: str = "127.0.0.1",
         port: int = DEFAULT_PORT,
-        shards: int = 4,
         grace_seconds: float = DEFAULT_GRACE_SECONDS,
         tick_interval: float = 0.25,
         queue_depth: int = 64,
@@ -199,8 +176,6 @@ class ScrubDaemon:
         clock: Callable[[], float] = time.time,
         log: Optional[TextIO] = None,
     ) -> None:
-        if shards < 1:
-            raise ValueError(f"need at least one shard worker, got {shards}")
         self.host = host
         self.port = port
         self._tick_interval = tick_interval
@@ -218,9 +193,7 @@ class ScrubDaemon:
 
         self.registry = EventRegistry()
         #: workers > 0 swaps the serial engine for the process-parallel
-        #: ShardPool (docs/SCALING.md).  The pool does its own request-id
-        #: routing, so the asyncio shard queues then carry whole batches
-        #: and act purely as the bounded backpressure stage.
+        #: ShardPool (docs/SCALING.md); the data plane is the same for both.
         self.workers = max(0, workers)
         self.engine: CentralEngine
         if self.workers > 0:
@@ -242,10 +215,15 @@ class ScrubDaemon:
         #: INSTALL pushes that failed to reach an agent (SUBMIT-time or
         #: reconnect-time); exposed via STATS.
         self.push_failures = 0
+        #: BATCH payloads the decoder refused (torn or corrupt); STATS.
+        self.batches_rejected = 0
 
-        self._shard_queues: list["asyncio.Queue[Any]"] = [
-            asyncio.Queue(maxsize=queue_depth) for _ in range(shards)
-        ]
+        #: Undecoded BATCH payloads (and PING drain futures) awaiting the
+        #: ingest task; bounded, so a saturated engine backpressures the
+        #: socket (the sending host drops, never blocks).
+        self._ingest_queue: "asyncio.Queue[Any]" = asyncio.Queue(
+            maxsize=queue_depth
+        )
         self._server: Optional[asyncio.base_events.Server] = None
         self._conn_tasks: set[asyncio.Task] = set()
         self._tasks: list[asyncio.Task] = []
@@ -262,10 +240,7 @@ class ScrubDaemon:
         )
         self.port = self._server.sockets[0].getsockname()[1]
         self._started_at = self._clock()
-        for index, q in enumerate(self._shard_queues):
-            self._tasks.append(
-                asyncio.create_task(self._shard_worker(index, q))
-            )
+        self._tasks.append(asyncio.create_task(self._ingest_loop()))
         self._tasks.append(asyncio.create_task(self._tick_loop()))
         self._say(f"scrubd listening on {self.host}:{self.port}")
 
@@ -373,7 +348,11 @@ class ScrubDaemon:
         )
 
     async def run(self) -> None:
-        """Start, serve until told to stop, then shut down cleanly."""
+        """Start, serve until told to stop (SHUTDOWN, SIGTERM or SIGINT),
+        then shut down cleanly — pool workers joined, rings unlinked."""
+        loop = asyncio.get_running_loop()
+        for signum in (signal.SIGTERM, signal.SIGINT):
+            loop.add_signal_handler(signum, self._stopping.set)
         await self.start()
         try:
             await self._stopping.wait()
@@ -729,91 +708,38 @@ class ScrubDaemon:
                 return
             msg_type, payload = frame
             if msg_type == MsgType.BATCH:
-                if self.workers > 0:
-                    # Pooled engine: hand the wire frame over *undecoded* —
-                    # ShardPool.ingest_frame scans it and ships raw byte
-                    # slices to its worker processes, so the daemon's event
-                    # loop never builds an Event object (docs/SCALING.md
-                    # §"Zero-copy shard ingest").  Only the host name is
-                    # peeked, to key the per-host shard queue.
-                    host = peek_full_batch_host(payload)
-                    shard = zlib.crc32(host.encode()) % len(self._shard_queues)
-                    await self._shard_queues[shard].put(payload)
-                else:
-                    batch = decode_full_batch(payload)
-                    for shard, sub_batch in self._route(batch):
-                        # Bounded queues: a saturated engine backpressures
-                        # the socket (the sending host drops, never blocks).
-                        await self._shard_queues[shard].put(sub_batch)
+                await self._ingest_queue.put(payload)
             elif msg_type == MsgType.PING:
-                barrier = _ShardBarrier(len(self._shard_queues))
-                for q in self._shard_queues:
-                    await q.put(barrier)
-                await barrier.wait()
+                drained = asyncio.get_running_loop().create_future()
+                await self._ingest_queue.put(drained)
+                await drained
                 writer.write(encode_message_frame(MsgType.PONG, decode_message(payload)))
                 await writer.drain()
             else:
                 raise ProtocolError(f"unexpected {msg_type.name} on data channel")
 
-    def _route(self, batch: EventBatch) -> list[tuple[int, EventBatch]]:
-        """Split one host flush into per-shard sub-batches keyed on the
-        request-id hash; the batch metadata (seen counts, drop counter,
-        partial aggregates) rides exactly once, on the host's home shard.
-        All shards feed one engine, so the merge is the engine's own."""
-        shards = len(self._shard_queues)
-        meta_shard = zlib.crc32(batch.host.encode()) % shards
-        if self.workers > 0 or shards == 1 or not batch.events:
-            # Pooled engine: ShardPool partitions events across its worker
-            # processes itself; splitting here would only double the work.
-            return [(meta_shard, batch)]
-        by_shard: dict[int, list] = {}
-        for event in batch.events:
-            by_shard.setdefault(event.request_id % shards, []).append(event)
-        routed: list[tuple[int, EventBatch]] = []
-        for shard, events in by_shard.items():
-            if shard == meta_shard:
-                continue
-            routed.append(
-                (
-                    shard,
-                    EventBatch(
-                        host=batch.host,
-                        query_id=batch.query_id,
-                        events=events,
-                        sent_at=batch.sent_at,
-                    ),
-                )
-            )
-        routed.append(
-            (
-                meta_shard,
-                EventBatch(
-                    host=batch.host,
-                    query_id=batch.query_id,
-                    events=by_shard.get(meta_shard, []),
-                    seen_counts=batch.seen_counts,
-                    dropped=batch.dropped,
-                    sent_at=batch.sent_at,
-                    partials=batch.partials,
-                ),
-            )
-        )
-        return routed
-
-    async def _shard_worker(self, index: int, q: "asyncio.Queue[Any]") -> None:
+    async def _ingest_loop(self) -> None:
+        """The one door into the engine: wire frames in arrival order.
+        ``CentralEngine.ingest_frame`` decodes; ``ShardPool.ingest_frame``
+        scans and ships byte slices to its workers, so a pooled daemon
+        never builds an Event (docs/SCALING.md §"Zero-copy shard ingest")."""
         while True:
-            item = await q.get()
-            if isinstance(item, _ShardBarrier):
-                item.hit()
+            item = await self._ingest_queue.get()
+            if isinstance(item, asyncio.Future):
+                # A PING's drain marker: everything queued before it is in.
+                if not item.done():
+                    item.set_result(None)
                 continue
             try:
-                if isinstance(item, (bytes, bytearray, memoryview)):
-                    # Raw wire frame from the pooled data channel.
-                    self.engine.ingest_frame(item)
-                else:
-                    self.engine.ingest(item)
+                self.engine.ingest_frame(item)
+            except ValueError as exc:
+                # The decoder's structured error for a torn or corrupt
+                # payload.  Framing is intact (the length prefix was
+                # valid), so the connection stays up.
+                self.batches_rejected += 1
+                self._say(f"data: batch rejected: {exc}")
             except Exception as exc:  # keep ingesting; one bad batch ≠ outage
-                self._say(f"shard {index}: ingest failed: {exc!r}")
+                self._say(f"data: ingest failed: {exc!r}")
 
     # -- query control channel ---------------------------------------------------------
 
@@ -1098,7 +1024,6 @@ class ScrubDaemon:
                 for query_id, live in self._running.items()
                 if live.controller is not None
             },
-            "shards": len(self._shard_queues),
             "workers": self.workers,
             "lease_seconds": self._lease_seconds,
             "stale_after": self.fleet.stale_after,
@@ -1110,6 +1035,7 @@ class ScrubDaemon:
                 "events_received": stats.events_received,
                 "events_late": stats.events_late,
                 "bytes_received": stats.bytes_received,
+                "batches_rejected": self.batches_rejected,
                 "windows_emitted": stats.windows_emitted,
                 "rows_emitted": stats.rows_emitted,
                 "events_shed": stats.events_shed,
@@ -1394,7 +1320,6 @@ def main(argv: Optional[list[str]] = None) -> int:
     )
     parser.add_argument("--host", default="127.0.0.1", help="bind address")
     parser.add_argument("--port", type=int, default=DEFAULT_PORT, help="TCP port (0 = ephemeral)")
-    parser.add_argument("--shards", type=int, default=4, help="ingest shard queues")
     parser.add_argument(
         "--workers", type=int, default=0,
         help="shard worker processes for the central engine "
@@ -1412,7 +1337,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         help="seconds past a window end before it closes",
     )
     parser.add_argument("--tick", type=float, default=0.25, help="advance/reap interval (s)")
-    parser.add_argument("--queue-depth", type=int, default=64, help="per-shard queue bound")
+    parser.add_argument("--queue-depth", type=int, default=64, help="ingest queue bound (batches)")
     parser.add_argument(
         "--lease", type=float, default=DEFAULT_LEASE_SECONDS,
         help="seconds without an agent heartbeat before its lease expires",
@@ -1437,7 +1362,6 @@ def main(argv: Optional[list[str]] = None) -> int:
     daemon = ScrubDaemon(
         host=args.host,
         port=args.port,
-        shards=args.shards,
         grace_seconds=args.grace,
         tick_interval=args.tick,
         queue_depth=args.queue_depth,

@@ -22,7 +22,6 @@ from repro.core.agent.transport import (
     PartialAggregate,
     decode_full_batch,
     encode_full_batch,
-    peek_full_batch_host,
     scan_full_batch,
 )
 from repro.core.events import Event
@@ -201,14 +200,9 @@ def test_scan_full_batch_matches_decode_full_batch(batch):
     ]
 
 
-@settings(max_examples=50, deadline=None)
-@given(batch=_batches)
-def test_peek_full_batch_host(batch):
-    assert peek_full_batch_host(encode_full_batch(batch)) == batch.host
-
-
-def test_peek_rejects_bad_version():
-    with pytest.raises(ValueError, match="unsupported batch encoding version"):
-        peek_full_batch_host(b"\x7fxxxx")
-    with pytest.raises(ValueError, match="unsupported batch encoding version"):
-        peek_full_batch_host(b"")
+def test_full_batch_rejects_bad_version():
+    for reader in (decode_full_batch, scan_full_batch):
+        with pytest.raises(ValueError, match="unsupported batch encoding version"):
+            reader(b"\x7fxxxx")
+        with pytest.raises(ValueError, match="unsupported batch encoding version"):
+            reader(b"")

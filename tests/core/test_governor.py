@@ -330,7 +330,7 @@ def test_scrubd_stats_surface_quarantines_and_pool_health():
     from repro.core.agent.transport import EventBatch
     from repro.live.server import ScrubDaemon
 
-    daemon = ScrubDaemon(port=0, shards=2, workers=2)
+    daemon = ScrubDaemon(port=0, workers=2)
     try:
         registry = EventRegistry()
         registry.define("pv", [("url", "string")])

@@ -396,33 +396,20 @@ def test_scrub_facade_with_workers_matches_serial():
 
 
 def test_scrubd_daemon_uses_pool_when_workers_requested():
-    """The --workers flag swaps the daemon's engine for a ShardPool and
-    turns per-request shard routing into whole-batch handoff."""
+    """The --workers flag swaps the daemon's engine for a ShardPool."""
     from repro.live.server import ScrubDaemon
 
-    daemon = ScrubDaemon(port=0, shards=4, workers=2)
+    daemon = ScrubDaemon(port=0, workers=2)
     try:
         assert isinstance(daemon.engine, ShardPool)
         assert daemon.engine.workers == 2
         assert daemon._stats()["workers"] == 2
-        batch = EventBatch(
-            host="h1",
-            query_id="q1",
-            events=[
-                Event("bid", {"exchange_id": 1}, rid, 1.0, "h1")
-                for rid in range(8)
-            ],
-        )
-        routed = daemon._route(batch)
-        assert len(routed) == 1  # the pool partitions internally
-        assert routed[0][1] is batch
     finally:
         daemon.engine.close()
 
-    serial = ScrubDaemon(port=0, shards=4)
+    serial = ScrubDaemon(port=0)
     assert not isinstance(serial.engine, ShardPool)
     assert serial._stats()["workers"] == 0
-    assert len(serial._route(batch)) > 1  # request-id sharding still on
 
 
 def test_sim_cluster_with_central_workers_matches_serial():

@@ -45,7 +45,7 @@ QUERY = (
 #: scrubd tuned for fault tests: fast ticks, a sub-second-ish lease, and
 #: enough grace that proxy-delayed batches still make their window.
 SCRUBD_ARGS = (
-    "--tick", "0.05", "--grace", "1.0", "--lease", "0.8", "--shards", "2"
+    "--tick", "0.05", "--grace", "1.0", "--lease", "0.8"
 )
 
 

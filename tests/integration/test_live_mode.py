@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import os
 import re
+import signal
 import subprocess
 import sys
 import time
@@ -209,4 +210,44 @@ def test_killing_scrubd_mid_span_never_blocks_logging():
     finally:
         ctl.close()
         agent.close()
+        _stop(daemon)
+
+
+def _alive(pid: int) -> bool:
+    """Is *pid* a running process (a zombie awaiting its reaper is not)?"""
+    try:
+        with open(f"/proc/{pid}/stat") as stat:
+            return stat.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except OSError:
+        return False
+
+
+def _shm_segments() -> set[str]:
+    return {name for name in os.listdir("/dev/shm") if name.startswith("psm_")}
+
+
+@pytest.mark.integration
+@pytest.mark.skipif(
+    not os.path.isdir("/proc/self/task") or not os.path.isdir("/dev/shm"),
+    reason="needs Linux /proc and /dev/shm",
+)
+def test_sigterm_stops_pooled_scrubd_cleanly():
+    """SIGTERM is a clean stop: exit code 0, shard workers joined (not
+    orphaned), shared-memory rings unlinked."""
+    segments_before = _shm_segments()
+    daemon, _port = _spawn_scrubd(("--workers", "2"))
+    try:
+        with open(f"/proc/{daemon.pid}/task/{daemon.pid}/children") as listing:
+            children = [int(pid) for pid in listing.read().split()]
+        assert len(children) >= 2  # the shard workers (+ the resource tracker)
+        daemon.send_signal(signal.SIGTERM)
+        assert daemon.wait(timeout=10.0) == 0
+        # The resource tracker exits on its own once scrubd's end of
+        # their pipe closes, an instant after wait() returns.
+        deadline = time.time() + 1.0
+        while any(map(_alive, children)) and time.time() < deadline:
+            time.sleep(0.01)
+        assert [pid for pid in children if _alive(pid)] == []
+        assert _shm_segments() <= segments_before
+    finally:
         _stop(daemon)

@@ -33,7 +33,7 @@ QUERY = (
 #: Fast ticks so rollout stages advance quickly; a 2s lease keeps the
 #: agents' registrations alive across the daemon kill + redial window.
 SCRUBD_ARGS = (
-    "--tick", "0.05", "--grace", "1.0", "--lease", "2.0", "--shards", "2"
+    "--tick", "0.05", "--grace", "1.0", "--lease", "2.0"
 )
 
 

@@ -1,14 +1,26 @@
-"""ScrubDaemon over real TCP: registration, query lifecycle, routing
-through the shard workers into the shared engine, and the reap tick."""
+"""ScrubDaemon over real TCP: registration, query lifecycle, the data
+channel into the engine, and the reap tick."""
 
+import socket
 import time
 
 import pytest
 
+from repro.core.agent.transport import EventBatch, encode_full_batch
+from repro.core.events import Event
 from repro.core.query.errors import ScrubError
 from repro.live.client import ControlClient, LiveAgent, LiveAgentError
+from repro.live.protocol import (
+    MsgType,
+    decode_message,
+    encode_batch_frame,
+    encode_frame,
+    encode_message_frame,
+    recv_frame,
+)
+from repro.live.server import main as scrubd_main
 
-from .conftest import wait_for
+from .conftest import DaemonHarness, wait_for
 
 QUERY = (
     "select pv.url, COUNT(*) from pv @[Service in Frontends] "
@@ -195,7 +207,6 @@ class TestStats:
         agent = _agent(harness, "web-0")
         try:
             stats = ctl.stats()
-            assert stats["shards"] == len(harness.daemon._shard_queues)
             assert [h["host"] for h in stats["hosts"]] == ["web-0"]
             assert stats["hosts"][0]["services"] == ["Frontends"]
             assert stats["uptime"] >= 0.0
@@ -203,11 +214,18 @@ class TestStats:
             qid = ctl.submit(QUERY)["query_id"]
             assert qid in ctl.stats()["running"]
             assert wait_for(lambda: qid in agent.installed_query_ids)
-            agent.log("pv", url="/a", latency_ms=1.0, request_id=1)
+            for rid in range(8):
+                agent.log("pv", url="/a", latency_ms=1.0, request_id=rid)
             assert agent.drain(10.0)
-            stats = ctl.stats()
-            assert stats["engine"]["events_received"] == 1
-            assert stats["engine"]["batches_received"] >= 1
+            engine = ctl.stats()["engine"]
+            assert engine["events_received"] == 8
+            # The daemon counts what the host sent, batch for batch and
+            # byte for byte (5 = frame length prefix + type byte).
+            sent = agent.transport
+            assert engine["batches_received"] == sent.batches_sent >= 1
+            assert engine["bytes_received"] == (
+                sent.bytes_sent - 5 * sent.batches_sent
+            )
             ctl.finish(qid)
             assert qid in ctl.stats()["finished"]
         finally:
@@ -218,3 +236,109 @@ class TestStats:
         assert [h["host"] for h in ctl.stats()["hosts"]] == ["web-0"]
         agent.close()
         assert wait_for(lambda: not ctl.stats()["hosts"])
+
+
+@pytest.fixture(params=(0, 2), ids=("serial", "pool"))
+def engine_harness(request):
+    """A daemon on each engine: both must go through the one data door."""
+    h = DaemonHarness(workers=request.param).start()
+    yield h
+    h.stop()
+
+
+class TestDataChannel:
+    """Raw frames on a data socket, so the test controls every byte."""
+
+    @staticmethod
+    def _running_query(harness):
+        """An agent for host ``h1`` (a SUBMIT needs a registered target)
+        and a query installed on it; the agent itself logs nothing."""
+        agent = _agent(harness, "h1")
+        ctl = ControlClient(harness.address)
+        qid = ctl.submit(QUERY)["query_id"]
+        assert wait_for(lambda: qid in agent.installed_query_ids)
+        return agent, ctl, qid
+
+    @staticmethod
+    def _data_socket(harness) -> socket.socket:
+        sock = socket.create_connection(harness.address, timeout=5.0)
+        sock.sendall(encode_message_frame(MsgType.DATA_HELLO, {"host": "h1"}))
+        return sock
+
+    @staticmethod
+    def _drain(sock: socket.socket) -> None:
+        sock.sendall(encode_message_frame(MsgType.PING, {"token": 1}))
+        frame = recv_frame(sock)
+        assert frame is not None, "scrubd closed the data connection"
+        msg_type, payload = frame
+        assert msg_type == MsgType.PONG
+        assert decode_message(payload)["token"] == 1
+
+    @staticmethod
+    def _batch(qid: str, stamp: float, rids=range(8), **metadata) -> EventBatch:
+        events = [
+            Event("pv", {"url": "/a", "latency_ms": 1.0}, rid, stamp, "h1")
+            for rid in rids
+        ]
+        return EventBatch(host="h1", query_id=qid, events=events, **metadata)
+
+    def test_shed_and_quarantine_survive_an_event_carrying_batch(
+        self, engine_harness
+    ):
+        agent, ctl, qid = self._running_query(engine_harness)
+        try:
+            stamp = time.time()
+            window = int(stamp // 10)  # QUERY: window 10s
+            batch = self._batch(
+                qid,
+                stamp,
+                seen_counts={("pv", window): 18},
+                dropped=3,
+                shed=7,
+                quarantined="impact-budget-exceeded: test",
+            )
+            with self._data_socket(engine_harness) as sock:
+                # The engine books drops and sheds on the latest *open*
+                # window, so one earlier event opens it first.
+                sock.sendall(encode_batch_frame(self._batch(qid, stamp, rids=[8])))
+                sock.sendall(encode_batch_frame(batch))
+                self._drain(sock)
+            stats = ctl.stats()
+            assert stats["engine"]["events_received"] == 9
+            assert stats["engine"]["events_shed"] == 7
+            assert stats["quarantines"][qid]["h1"].startswith("impact-budget")
+            results = ctl.finish(qid)
+            (window_result,) = results.windows
+            assert window_result.host_shed == 7
+            assert window_result.host_dropped == 3
+            assert window_result.coverage.quarantined["h1"].startswith(
+                "impact-budget"
+            )
+        finally:
+            ctl.close()
+            agent.close()
+
+    def test_corrupt_batch_is_counted_and_the_connection_kept(
+        self, engine_harness
+    ):
+        agent, ctl, qid = self._running_query(engine_harness)
+        try:
+            payload = encode_full_batch(self._batch(qid, time.time()))
+            with self._data_socket(engine_harness) as sock:
+                sock.sendall(encode_frame(MsgType.BATCH, payload[: len(payload) // 2]))
+                sock.sendall(encode_frame(MsgType.BATCH, payload))
+                self._drain(sock)
+            engine = ctl.stats()["engine"]
+            assert engine["batches_rejected"] == 1
+            assert engine["batches_received"] == 1
+            assert engine["events_received"] == 8
+        finally:
+            ctl.close()
+            agent.close()
+
+
+def test_shards_flag_is_gone_not_ignored(capsys):
+    with pytest.raises(SystemExit) as usage:
+        scrubd_main(["--shards", "2"])
+    assert usage.value.code == 2
+    assert "unrecognized arguments: --shards" in capsys.readouterr().err
