@@ -212,8 +212,9 @@ def _run_mode(mode: str, workers: int, plan, frames: list[bytes], transport=None
             for frame in frames:
                 engine.ingest_reference(decode_full_batch(frame))
         else:
-            # CentralEngine.ingest_frame decodes then batch-ingests; the
-            # ShardPool override scans and ships raw slices to workers.
+            # CentralEngine.ingest_frame reads fixed-layout frames as wire
+            # rows and decodes the rest, then batch-ingests; the ShardPool
+            # override scans and ships raw slices to workers.
             for frame in frames:
                 engine.ingest_frame(frame)
         results = engine.finish("q1")

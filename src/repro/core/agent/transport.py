@@ -26,7 +26,7 @@ what a host would really put on the wire.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Protocol
+from typing import Any, Callable, Optional, Protocol
 
 from ..events import Event
 from ..events.encoding import (
@@ -39,6 +39,8 @@ from ..events.encoding import (
     _truncated,
     _write_str,
     _write_value,
+    FixedRows,
+    decode_fixed_rows,
     encode_batch_into,
     encoded_size_batch,
     encoded_size_value,
@@ -54,6 +56,7 @@ __all__ = [
     "RecordingTransport",
     "Transport",
     "decode_full_batch",
+    "decode_full_batch_rows",
     "encode_full_batch",
     "encode_full_batch_into",
     "full_batch_wire_size",
@@ -280,6 +283,47 @@ def decode_full_batch(data: bytes | memoryview) -> EventBatch:
     )
 
 
+def decode_full_batch_rows(
+    data: bytes | memoryview, wanted: Callable[[str], bool]
+) -> Optional[tuple[EventBatch, FixedRows]]:
+    """Read a full-batch frame as fixed-layout rows, when it is one.
+
+    Returns the batch metadata (an events-free :class:`EventBatch`) and
+    the events as ``FixedRows``; or ``None`` — *wanted* refused the
+    frame's query id or ``decode_fixed_rows`` its events — and the caller
+    falls back to :func:`decode_full_batch`.  Header and trailer go
+    through that decoder's readers, so this raises only what it would.
+    """
+    buf = data if isinstance(data, memoryview) else memoryview(data)
+    header = _read_full_batch_header(buf)
+    pos = header[-1]
+    if pos + 4 > len(buf) or not wanted(header[1]):
+        return None
+    (count,) = _U32.unpack_from(buf, pos)
+    fixed = decode_fixed_rows(buf, pos + 4, count)
+    if fixed is None:
+        return None
+    return _events_free_batch(header, buf, fixed.end), fixed
+
+
+def _events_free_batch(header: tuple, buf: memoryview, pos: int) -> EventBatch:
+    """The batch-level metadata of a frame whose events stay undecoded:
+    *header* from :func:`_read_full_batch_header`, the trailer at *pos*."""
+    host, query_id, sent_at, dropped, shed, quarantined, _ = header
+    seen_counts, partials = _read_full_batch_trailer(buf, pos)
+    return EventBatch(
+        host=host,
+        query_id=query_id,
+        events=[],
+        seen_counts=seen_counts,
+        dropped=dropped,
+        sent_at=sent_at,
+        partials=partials,
+        shed=shed,
+        quarantined=quarantined,
+    )
+
+
 class EncodedBatch:
     """One host flush still in its wire-frame form.
 
@@ -341,23 +385,9 @@ def scan_full_batch(data: bytes | memoryview) -> EncodedBatch:
     same structured error :func:`decode_full_batch` would.
     """
     buf = data if isinstance(data, memoryview) else memoryview(data)
-    host, query_id, sent_at, dropped, shed, quarantined, pos = (
-        _read_full_batch_header(buf)
-    )
-    frames, pos = scan_batch(buf, pos)
-    seen_counts, partials = _read_full_batch_trailer(buf, pos)
-    meta = EventBatch(
-        host=host,
-        query_id=query_id,
-        events=[],
-        seen_counts=seen_counts,
-        dropped=dropped,
-        sent_at=sent_at,
-        partials=partials,
-        shed=shed,
-        quarantined=quarantined,
-    )
-    return EncodedBatch(buf, meta, frames)
+    header = _read_full_batch_header(buf)
+    frames, pos = scan_batch(buf, header[-1])
+    return EncodedBatch(buf, _events_free_batch(header, buf, pos), frames)
 
 
 def _retupled(value: Any) -> Any:

@@ -19,7 +19,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Any, Callable, Mapping, Optional
+from operator import attrgetter
+from typing import Any, Callable, Iterable, Mapping, Optional
 
 from ..approx.sampling_theory import (
     ApproxEstimate,
@@ -28,11 +29,12 @@ from ..approx.sampling_theory import (
     estimate_count,
     estimate_sum,
 )
-from ..agent.transport import EventBatch, decode_full_batch
+from ..agent.transport import EventBatch, decode_full_batch, decode_full_batch_rows
 from ..query.ast import AggregateCall
+from ..query.compile import compile_expr
 from ..query.errors import QueryNotFoundError, ScrubExecutionError
 from ..query.planner import CentralQueryObject
-from .groupby import GroupByProcessor, WindowGroups
+from .groupby import Accessors, GroupByProcessor, WindowGroups, make_row_getter
 from .join import JoinBuffer
 from .results import ResultRow, ResultSet, WindowCoverage, WindowResult
 from .aggregates import make_state
@@ -51,6 +53,9 @@ class CentralStats:
 
     batches_received: int = 0
     events_received: int = 0
+    #: Of ``events_received``, those ingested as wire rows — never built
+    #: into an ``Event`` (docs/SCALING.md §"Fixed-layout row ingest").
+    events_rowed: int = 0
     events_late: int = 0
     bytes_received: int = 0
     windows_emitted: int = 0
@@ -138,6 +143,26 @@ class _RunningQuery:
                 for i, agg in enumerate(self.processor.agg_calls)
                 if agg.func in ("COUNT", "SUM", "AVG")
             )
+
+        #: Whether frames may be ingested as wire rows, which carry no
+        #: per-row host and are segmented by tumbling-window arithmetic.
+        self.takes_rows = (
+            not spec.is_join and spec.slide_seconds is None and not self.processor.reads_host
+        )
+        self._row_accessors: dict[tuple[str, ...], Accessors] = {}
+
+    def row_accessors(self, names: tuple[str, ...]) -> Accessors:
+        """The query's closures compiled over wire rows laid out as
+        *names*, cached per layout (a query sees one per event type)."""
+        accessors = self._row_accessors.get(names)
+        if accessors is None:
+            if len(self._row_accessors) >= 8:  # a peer inventing layouts
+                self._row_accessors.clear()
+            getter = make_row_getter(names)
+            accessors = self._row_accessors[names] = self.processor.compile_accessors(
+                lambda expr: compile_expr(expr, getter)
+            )
+        return accessors
 
     @property
     def scale_factor(self) -> float:
@@ -270,15 +295,48 @@ class CentralEngine:
                 self._process_window_events(rq, window, events)
 
     def ingest_frame(self, data: bytes | memoryview) -> None:
-        """Consume one host flush still in its wire-frame form.
+        """Consume one host flush still in its wire-frame form — the door
+        ``scrubd`` uses for every socket batch.
 
-        The serial engine has no partition step to skip, so this is
-        simply decode-then-:meth:`ingest`.  :class:`ShardPool` overrides
-        it with the zero-copy scan-and-slice path; ``scrubd`` calls
-        ``ingest_frame`` for every socket batch and gets whichever the
-        engine provides (docs/SCALING.md §"Zero-copy shard ingest").
+        A frame whose events share one fixed layout (every payload value
+        a ``long`` or ``double``) is ingested as *wire rows*: one
+        ``struct.iter_unpack`` yields a tuple per event and the query's
+        closures, compiled a second time to read tuple slots, feed the
+        same :meth:`WindowGroups.process_batch` — no :class:`Event` is
+        built (docs/SCALING.md §"Fixed-layout row ingest").  Any other
+        frame, and any query rows cannot serve (joins, ``SLIDE``, reading
+        ``host``), takes decode-then-:meth:`ingest`, whose results,
+        accounting and errors the row path reproduces exactly.
+        :class:`ShardPool` overrides this with its scan-and-slice path.
         """
-        self.ingest(decode_full_batch(data))
+        rowed = decode_full_batch_rows(data, self._takes_rows)
+        if rowed is None:
+            self.ingest(decode_full_batch(data))
+            return
+        meta, (rows, names, host, timestamps, _end) = rowed
+        rq = self._queries[meta.query_id]
+        stats = self.stats
+        stats.batches_received += 1
+        stats.events_received += len(rows)
+        stats.events_rowed += len(rows)
+        stats.bytes_received += len(data)
+
+        self._ingest_metadata(rq, meta)
+        tracker = rq.tracker
+        length = tracker.assigner.length
+        window = int(min(timestamps) // length)
+        if window == int(max(timestamps) // length) and not tracker._is_closed(window):
+            tracker._open.add(window)  # the usual flush: one open window
+            segments = {window: rows}
+        else:
+            segments = self._segment_events(rq, rows, timestamps)
+        accessors = rq.row_accessors(names)
+        for window, members in segments.items():
+            self._process_window_events(rq, window, members, accessors, host)
+
+    def _takes_rows(self, query_id: str) -> bool:
+        rq = self._queries.get(query_id)
+        return rq is not None and rq.takes_rows
 
     def ingest_reference(self, batch: EventBatch) -> None:
         """Consume one host flush via per-event dispatch.
@@ -355,9 +413,10 @@ class CentralEngine:
             self._ingest_partial(rq, batch.host, partial)
 
     def _segment_events(
-        self, rq: _RunningQuery, events: list
+        self, rq: _RunningQuery, events: list, timestamps: Iterable[float] = ()
     ) -> dict[int, list]:
         """Split a batch's events into per-window slices, counting lates.
+        Wire rows come with their *timestamps* column; Events hold theirs.
 
         Tumbling windows take an inlined assignment fast path (one floor
         division per event); sliding windows go through the tracker's
@@ -368,13 +427,14 @@ class CentralEngine:
         tracker = rq.tracker
         segments: dict[int, list] = {}
         assigner = tracker.assigner
+        timestamps = timestamps or map(attrgetter("timestamp"), events)
         if type(assigner) is TumblingWindowAssigner:
             length = assigner.length
             closed_upto = tracker._closed_upto
             open_set = tracker._open
             late = 0
-            for event in events:
-                index = int(event.timestamp // length)
+            for event, timestamp in zip(events, timestamps):
+                index = int(timestamp // length)
                 if closed_upto is not None and index <= closed_upto:
                     late += 1
                     continue
@@ -389,8 +449,8 @@ class CentralEngine:
                 rq.late_since_close += late
         else:
             stats = self.stats
-            for event in events:
-                indices = tracker.observe(event.timestamp)
+            for event, timestamp in zip(events, timestamps):
+                indices = tracker.observe(timestamp)
                 if not indices:
                     stats.events_late += 1
                     rq.late_since_close += 1
@@ -400,14 +460,20 @@ class CentralEngine:
         return segments
 
     def _process_window_events(
-        self, rq: _RunningQuery, window: int, events: list
+        self, rq: _RunningQuery, window: int, events: list,
+        accessors: Optional[Accessors] = None, host: Optional[str] = None,
     ) -> None:
-        """Run one window's slice of a batch through join/group/aggregate."""
+        """Run one window's slice of a batch through join/group/aggregate.
+        Wire rows come with the *accessors* that read them and the one
+        *host* they share; Events need neither."""
         hosts = rq.hosts_by_window.get(window)
         if hosts is None:
             hosts = rq.hosts_by_window[window] = set()
-        for event in events:
-            hosts.add(event.host)
+        if host is not None:
+            hosts.add(host)
+        else:
+            for event in events:
+                hosts.add(event.host)
         if rq.spec.is_join:
             buffer = rq.join_buffers.get(window)
             if buffer is None:
@@ -420,9 +486,9 @@ class CentralEngine:
         if state is None:
             state = rq.processor.make_window_state()
             rq.windows[window] = state
-        accepted = state.process_batch(events)
+        accepted = state.process_batch(events, accessors)
         if rq.estimable_aggs and accepted:
-            self._accumulate_host_values_batch(rq, window, accepted)
+            self._accumulate_host_values_batch(rq, window, accepted, accessors, host)
 
     def _ingest_partial(self, rq: _RunningQuery, host: str, partial) -> None:
         """Merge one host's pre-aggregated (window, group) contribution."""
@@ -445,7 +511,7 @@ class CentralEngine:
 
     def _accumulate_host_values(self, rq: _RunningQuery, window: int, event: Any) -> None:
         acc = rq.host_window_acc(window, event.host)
-        arg_fns = rq.processor._agg_arg_fns
+        arg_fns = rq.processor.accessors.agg_arg_fns
         for i in rq.estimable_aggs:
             agg = rq.processor.agg_calls[i]
             if agg.func == "COUNT":
@@ -458,15 +524,20 @@ class CentralEngine:
             acc.sum_sqs[i] += value * value
 
     def _accumulate_host_values_batch(
-        self, rq: _RunningQuery, window: int, events: list
+        self, rq: _RunningQuery, window: int, events: list,
+        accessors: Optional[Accessors] = None, host: Optional[str] = None,
     ) -> None:
         """Batched :meth:`_accumulate_host_values`: one host-grouping pass,
         then per-host left folds in event order (float-identical to the
-        per-event path, which also folds each host's values in order)."""
+        per-event path, which also folds each host's values in order).
+        Wire rows are read through their *accessors* and share one *host*."""
         by_host: dict[str, list] = {}
-        for event in events:
-            by_host.setdefault(event.host, []).append(event)
-        arg_fns = rq.processor._agg_arg_fns
+        if host is None:
+            for event in events:
+                by_host.setdefault(event.host, []).append(event)
+        else:
+            by_host[host] = events
+        arg_fns = (accessors or rq.processor.accessors).agg_arg_fns
         agg_calls = rq.processor.agg_calls
         for host, host_events in by_host.items():
             acc = rq.host_window_acc(window, host)

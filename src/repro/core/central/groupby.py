@@ -15,9 +15,11 @@ identical aggregate calls share one state.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Any, Callable, Optional
+from operator import itemgetter
+from typing import Any, Callable, NamedTuple, Optional
 
-from ..events import Event
+from ..events import HOST, Event
+from ..events.encoding import fixed_row_slots
 from ..query.ast import (
     AggregateCall,
     Between,
@@ -25,6 +27,7 @@ from ..query.ast import (
     BoolOp,
     Comparison,
     Expr,
+    FieldRef,
     InList,
     IsNull,
     Literal,
@@ -33,7 +36,7 @@ from ..query.ast import (
     unparse,
     walk_exprs,
 )
-from ..query.compile import FieldGetter, compile_expr, compile_predicate, like_to_regex
+from ..query.compile import FieldGetter, compile_expr, like_to_regex
 from ..query.errors import ScrubExecutionError
 from ..query.planner import CentralQueryObject, unique_aggregates
 from .aggregates import AggregateState, make_state
@@ -43,6 +46,7 @@ __all__ = [
     "GroupByProcessor",
     "WindowGroups",
     "make_field_getter",
+    "make_row_getter",
     "compile_cached",
     "compilation_cache_info",
 ]
@@ -68,6 +72,19 @@ def make_field_getter(sources: tuple[str, ...]) -> FieldGetter:
         return lambda row: row[event_type].get(field)
 
     return joined
+
+
+def make_row_getter(names: tuple[str, ...]) -> FieldGetter:
+    """Field access over wire rows — the tuples of
+    :func:`~repro.core.events.encoding.decode_fixed_rows` — for a
+    single-source query: a slot lookup in C, NULL for an absent field."""
+    slots = fixed_row_slots(names)
+
+    def getter(_event_type: Optional[str], field: str) -> Callable[[tuple], Any]:
+        slot = slots.get(field)
+        return (lambda row: None) if slot is None else itemgetter(slot)
+
+    return getter
 
 
 @lru_cache(maxsize=512)
@@ -97,22 +114,23 @@ def compilation_cache_info():
     return _compile_normalized.cache_info()
 
 
+class Accessors(NamedTuple):
+    """A query's row-reading closures, compiled for one row
+    representation (Events and joined rows, or wire-row tuples)."""
+
+    residual: Optional[Callable[[Any], bool]]  # None: every row passes
+    group_fns: list[Callable[[Any], Any]]
+    agg_arg_fns: list[Callable[[Any], Any]]
+    select_fns: list[Callable[[Any], Any]]  # raw selections only
+
+
 class GroupByProcessor:
     """Compiled per-query machinery shared by all of its windows."""
 
     def __init__(self, spec: CentralQueryObject) -> None:
         self.spec = spec
         sources = spec.sources
-        getter = make_field_getter(sources)
-        self.has_residual = spec.residual_predicate is not None
-        if self.has_residual:
-            inner = compile_cached(spec.residual_predicate, sources)
-            self.residual = lambda row: inner(row) is True
-        else:
-            self.residual = compile_predicate(None, getter)
-
         self.group_exprs: tuple[Expr, ...] = spec.group_by
-        self._group_fns = [compile_cached(g, sources) for g in spec.group_by]
 
         # Unique aggregate calls across SELECT and HAVING (structural
         # dedup); the shared helper fixes the order host partials are
@@ -122,23 +140,37 @@ class GroupByProcessor:
         )
         #: Post-aggregation group filter; evaluated per group at finalize.
         self.having: Optional[Expr] = spec.having
-        self._agg_arg_fns: list[Callable[[Any], Any]] = [
-            (lambda _row: _COUNT_STAR)
-            if agg.arg is None
-            else compile_cached(agg.arg, sources)
-            for agg in self.agg_calls
-        ]
         #: COUNT(*) never inspects its rows — the batched path can bump
         #: the counter by the group size instead of feeding sentinels.
         self._count_star = [agg.arg is None and agg.func == "COUNT" for agg in self.agg_calls]
 
         self.is_aggregating = bool(self.agg_calls) or bool(spec.group_by)
-        if not self.is_aggregating:
-            self._select_fns = [
-                compile_cached(item.expr, sources) for item in spec.select_items
-            ]
-        else:
-            self._select_fns = []
+        self.accessors = self.compile_accessors(lambda e: compile_cached(e, sources))
+        #: Wire rows carry no per-row host (docs/SCALING.md §"Fixed-layout
+        #: row ingest"); a query that reads it stays on the Event path.
+        exprs = [*spec.group_by, *(item.expr for item in spec.select_items)]
+        exprs += [e for e in (spec.residual_predicate, spec.having) if e is not None]
+        self.reads_host = any(
+            isinstance(n, FieldRef) and n.field == HOST for e in exprs for n in walk_exprs(e)
+        )
+
+    def compile_accessors(self, compile_fn: Callable[[Expr], Callable]) -> Accessors:
+        """Compile the residual / group-by / aggregate-argument / select
+        closures with *compile_fn*, which fixes the row representation."""
+        spec = self.spec
+        residual = None
+        if spec.residual_predicate is not None:
+            inner = compile_fn(spec.residual_predicate)
+            residual = lambda row: inner(row) is True
+        return Accessors(
+            residual,
+            [compile_fn(g) for g in spec.group_by],
+            [
+                (lambda _row: _COUNT_STAR) if agg.arg is None else compile_fn(agg.arg)
+                for agg in self.agg_calls
+            ],
+            [] if self.is_aggregating else [compile_fn(i.expr) for i in spec.select_items],
+        )
 
     def make_window_state(self) -> "WindowGroups":
         return WindowGroups(self)
@@ -157,24 +189,25 @@ class WindowGroups:
         """Feed one central row (Event or JoinedRow); returns False when
         the residual predicate rejected it."""
         p = self._p
-        if not p.residual(row):
+        residual, group_fns, agg_arg_fns, select_fns = p.accessors
+        if residual is not None and not residual(row):
             return False
         self.rows_processed += 1
         if not p.is_aggregating:
             self.raw_rows.append(
-                ResultRow(tuple(fn(row) for fn in p._select_fns))
+                ResultRow(tuple(fn(row) for fn in select_fns))
             )
             return True
-        key = tuple(_group_key_part(fn(row)) for fn in p._group_fns)
+        key = tuple(_group_key_part(fn(row)) for fn in group_fns)
         states = self.groups.get(key)
         if states is None:
             states = [make_state(agg) for agg in p.agg_calls]
             self.groups[key] = states
-        for state, arg_fn in zip(states, p._agg_arg_fns):
+        for state, arg_fn in zip(states, agg_arg_fns):
             state.update(arg_fn(row))
         return True
 
-    def process_batch(self, rows: list[Any]) -> list[Any]:
+    def process_batch(self, rows: list[Any], accessors: Optional[Accessors] = None) -> list[Any]:
         """Feed many central rows at once; returns the accepted rows.
 
         Semantically identical to calling :meth:`process` per row (same
@@ -182,23 +215,23 @@ class WindowGroups:
         end up byte-identical), but pays the residual predicate, group
         segmentation, and aggregate dispatch per *batch* instead of per
         event.  The returned list (rows that passed the residual) feeds
-        the engine's per-host estimator accumulation.
+        the engine's per-host estimator accumulation.  *accessors* are
+        the closures that read *rows*: the processor's own for Events,
+        an ``itemgetter`` set from the same compiler for wire rows.
         """
         p = self._p
-        if p.has_residual:
-            residual = p.residual
+        residual, group_fns, agg_arg_fns, select_fns = accessors or p.accessors
+        if residual is not None:
             rows = [row for row in rows if residual(row)]
         if not rows:
             return rows
         self.rows_processed += len(rows)
         if not p.is_aggregating:
-            fns = p._select_fns
             self.raw_rows.extend(
-                ResultRow(tuple(fn(row) for fn in fns)) for row in rows
+                ResultRow(tuple(fn(row) for fn in select_fns)) for row in rows
             )
             return rows
 
-        group_fns = p._group_fns
         if not group_fns:
             segments = {(): rows}
         elif len(group_fns) == 1:
@@ -217,11 +250,11 @@ class WindowGroups:
             if states is None:
                 states = [make_state(agg) for agg in p.agg_calls]
                 self.groups[key] = states
-            for state, arg_fn, star in zip(states, p._agg_arg_fns, p._count_star):
+            for state, arg_fn, star in zip(states, agg_arg_fns, p._count_star):
                 if star:
                     state.count += len(members)  # COUNT(*): no per-row work
                 else:
-                    state.update_many([arg_fn(row) for row in members])
+                    state.update_many(list(map(arg_fn, members)))
         return rows
 
     def merge(self, other: "WindowGroups") -> None:

@@ -16,9 +16,11 @@ from __future__ import annotations
 
 import json
 import struct
-from typing import Any
+from math import isfinite
+from typing import Any, NamedTuple, Optional
 
 from .event import Event
+from .schema import REQUEST_ID, TIMESTAMP
 
 __all__ = [
     "encode_json",
@@ -30,6 +32,8 @@ __all__ = [
     "encode_batch_into",
     "decode_batch",
     "decode_event_frames",
+    "decode_fixed_rows",
+    "fixed_row_slots",
     "scan_batch",
     "scan_batch_shards",
     "encode_value",
@@ -97,6 +101,14 @@ def _truncated(offset: int, need: int, have: int) -> ValueError:
     return ValueError(
         f"truncated event encoding at offset {offset}: "
         f"need {need} byte(s), have {have}"
+    )
+
+
+def _non_finite(timestamp: float, offset: int) -> ValueError:
+    """The structured error for an ``inf``/``nan`` event timestamp, which
+    no window can hold — raised identically by decoder and scanner."""
+    return ValueError(
+        f"corrupt event encoding: non-finite timestamp {timestamp!r} at offset {offset}"
     )
 
 
@@ -305,6 +317,8 @@ def _decode_binary_at(buf: memoryview, pos: int) -> tuple[Event, int]:
     if pos + _HEADER.size > len(buf):
         raise _truncated(pos, _HEADER.size, len(buf) - pos)
     request_id, timestamp, nfields = _HEADER.unpack_from(buf, pos)
+    if not isfinite(timestamp):
+        raise _non_finite(timestamp, pos + 8)
     pos += _HEADER.size
     payload: dict[str, Any] = {}
     for _ in range(nfields):
@@ -411,6 +425,82 @@ def decode_event_frames(data: bytes | memoryview, count: int) -> list[Event]:
     return events
 
 
+# -- fixed-layout rows ---------------------------------------------------------
+#
+# docs/SCALING.md §"Fixed-layout row ingest": a flush of events whose
+# values are all int64/float64 is a table of fixed-width records.
+
+
+class FixedRows(NamedTuple):
+    """A run of event frames read as records.  ``rows[i]`` is the raw
+    ``struct`` tuple of event *i*: the constant chunks stay in it, and
+    :func:`fixed_row_slots` says where the fields are."""
+
+    rows: list[tuple]
+    names: tuple[str, ...]  # payload field names, in wire order
+    host: str
+    timestamps: tuple[float, ...]
+    end: int  # offset just past the run
+
+
+def fixed_row_slots(names: tuple[str, ...]) -> dict[str, int]:
+    """Field name -> index into a :class:`FixedRows` row.  System fields
+    shadow payload fields of the same name, as in :meth:`Event.get`."""
+    slots = {name: 4 + 2 * i for i, name in enumerate(names)}
+    slots[REQUEST_ID] = 1
+    slots[TIMESTAMP] = 2
+    return slots
+
+
+#: Value tag byte -> ``struct`` code, for the two fixed-width value types.
+_FIXED_TAGS = {ord(_TAG_INT): "q", ord(_TAG_FLOAT): "d"}
+
+
+def decode_fixed_rows(buf: memoryview, pos: int, count: int) -> Optional[FixedRows]:
+    """Read *count* event frames at *pos* with one ``struct.iter_unpack``.
+
+    Only the first frame is walked.  It becomes a record template: ``Ns``
+    members for its constant chunks (type + host strings; then field
+    count / key string / tag before each value), ``q``/``d`` members for
+    request id, timestamp and the values.  The run is accepted only if
+    every constant column equals the first frame's chunk in all *count*
+    rows — each frame is then byte for byte what :func:`_decode_binary_at`
+    would have parsed to the same values.  Never raises: a short buffer,
+    a non-UTF-8 or repeated key, any tag but ``I``/``D``, a mismatch
+    anywhere in the run or a non-finite timestamp returns ``None``, and
+    the caller's general decoder owns the result or the error.
+    """
+    try:
+        _event_type, at = _read_str(buf, pos)
+        host, at = _read_str(buf, at)
+        layout = [f"<{at - pos}sqd"]
+        chunk = at + 16  # start of the constant chunk being measured
+        (nfields,) = _U32.unpack_from(buf, chunk)
+        at = chunk + 4
+        names = []
+        for _ in range(nfields):
+            name, at = _read_str(buf, at)
+            names.append(name)
+            layout.append(f"{at + 1 - chunk}s{_FIXED_TAGS[buf[at]]}")
+            chunk = at = at + 9
+        if at > chunk:  # no fields: the count is the trailing chunk
+            layout.append(f"{at - chunk}s")
+        end = pos + count * (at - pos)
+        if not count or end > len(buf) or len(set(names)) != nfields:
+            return None
+        rows = list(struct.iter_unpack("".join(layout), buf[pos:end]))
+    except (ValueError, LookupError, struct.error):
+        return None
+    columns = list(zip(*rows))
+    first = rows[0]
+    for slot in (0, *range(3, len(first), 2)):
+        if columns[slot].count(first[slot]) != count:
+            return None
+    if not isfinite(sum(columns[2])):
+        return None
+    return FixedRows(rows, tuple(names), host, columns[2], end)
+
+
 # -- frame scanning ------------------------------------------------------------
 #
 # The zero-copy shard-ingest entry points (docs/SCALING.md §"Zero-copy
@@ -465,6 +555,8 @@ def scan_batch(
         if pos + header_size > size:
             raise _truncated(pos, header_size, size - pos)
         request_id, timestamp, nfields = _HEADER.unpack_from(mv, pos)
+        if not isfinite(timestamp):
+            raise _non_finite(timestamp, pos + 8)
         pos += header_size
         for _ in range(nfields):
             pos = _skip_str(mv, pos)

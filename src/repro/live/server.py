@@ -9,9 +9,9 @@ A single asyncio process that plays the roles the in-process façade
   when queries target it;
 * accepts **agent data** connections (``DATA_HELLO``): every ``BATCH``
   payload goes, still undecoded, onto one bounded queue that a single
-  ingest task feeds to ``engine.ingest_frame`` — the serial
-  :class:`CentralEngine` decodes it there, a :class:`ShardPool` scans
-  and slices it to its worker processes; the queue is bounded, so a
+  ingest task feeds to ``engine.ingest_frame`` (the serial
+  :class:`CentralEngine` reads it as wire rows or decodes it, a
+  :class:`ShardPool` slices it to its workers); the queue is bounded, so a
   slow engine backpressures the socket instead of ballooning memory,
   and a corrupt payload is logged and counted, not fatal;
 * accepts **query control** connections: ``SUBMIT`` parses/validates/
@@ -720,9 +720,9 @@ class ScrubDaemon:
 
     async def _ingest_loop(self) -> None:
         """The one door into the engine: wire frames in arrival order.
-        ``CentralEngine.ingest_frame`` decodes; ``ShardPool.ingest_frame``
-        scans and ships byte slices to its workers, so a pooled daemon
-        never builds an Event (docs/SCALING.md §"Zero-copy shard ingest")."""
+        ``CentralEngine.ingest_frame`` reads fixed-layout frames as rows and
+        decodes the rest; ``ShardPool.ingest_frame`` scans and ships byte slices
+        (docs/SCALING.md §"Fixed-layout row ingest", §"Zero-copy shard ingest")."""
         while True:
             item = await self._ingest_queue.get()
             if isinstance(item, asyncio.Future):
@@ -1033,6 +1033,7 @@ class ScrubDaemon:
             "engine": {
                 "batches_received": stats.batches_received,
                 "events_received": stats.events_received,
+                "events_rowed": stats.events_rowed,
                 "events_late": stats.events_late,
                 "bytes_received": stats.bytes_received,
                 "batches_rejected": self.batches_rejected,

@@ -194,6 +194,22 @@ class TestTornFrames:
         buf[nfields_at:nfields_at + 4] = (3).to_bytes(4, "little")
         _raises_identically(bytes(buf))
 
+    @pytest.mark.parametrize("stamp", [float("inf"), float("-inf"), float("nan")])
+    def test_non_finite_timestamp_fails_identically(self, stamp):
+        """No window can hold such an event, so the codec — decoder and
+        scanner alike — rejects the batch before the engine books any of it."""
+        events = [self.BATCH[0], _event({"a": 1}, ts=stamp), self.BATCH[2]]
+        buf = encode_batch(events)
+        _raises_identically(buf)
+        with pytest.raises(ValueError, match="non-finite timestamp") as err:
+            decode_batch(buf)
+        # The offset names the timestamp itself: 8 bytes into the <qdI header.
+        at = 4 + len(encode_binary(events[0])) + (4 + len("bid")) + (4 + len("h1")) + 8
+        assert str(err.value).endswith(f"at offset {at}")
+        _full_raises_identically(
+            encode_full_batch(EventBatch(host="h1", query_id="q1", events=events))
+        )
+
     def test_scanner_never_silently_short_slices(self):
         """A cut anywhere inside the batch body can never yield a scan
         that quietly returns fewer events than the count prefix."""

@@ -138,6 +138,23 @@ class TestDirected:
         with pytest.raises(ValueError, match="trailing garbage"):
             scan_batch_shards(buf, 2)
 
+    @pytest.mark.parametrize("stamp", [float("inf"), float("-inf"), float("nan")])
+    def test_non_finite_timestamp_rejected_like_the_decoder(self, stamp):
+        events = [Event("bid", {"a": 1}, 1, 2.0, "h"), Event("bid", {"a": 2}, 2, stamp, "h")]
+        buf = encode_batch(events)
+        with pytest.raises(ValueError, match="non-finite timestamp") as decode_err:
+            decode_batch(buf)
+        for scan in (scan_batch, lambda b: scan_batch_shards(b, 2)):
+            with pytest.raises(ValueError) as scan_err:
+                scan(buf)
+            assert str(scan_err.value) == str(decode_err.value)
+        data = encode_full_batch(EventBatch(host="h", query_id="q", events=events))
+        with pytest.raises(ValueError, match="non-finite timestamp") as full_err:
+            decode_full_batch(data)
+        with pytest.raises(ValueError) as scan_err:
+            scan_full_batch(data)
+        assert str(scan_err.value) == str(full_err.value)
+
     def test_slices_are_views_not_copies(self):
         buf = encode_batch([Event("bid", {"a": 1}, 0, 0.0, "h")])
         (shard, _) = scan_batch_shards(buf, 2)

@@ -257,6 +257,47 @@ def test_frame_ingest_metadata_only_batch():
         pool.finish("q1")
 
 
+@pytest.mark.parametrize("stamp", [float("inf"), float("nan")], ids=["inf", "nan"])
+@pytest.mark.parametrize("workers", [0, 2], ids=["serial", "pool2"])
+def test_non_finite_timestamp_rejects_the_batch_before_any_booking(workers, stamp):
+    """`inf // length` is nan and `int(nan)` raises — which used to happen
+    *after* the batch's seen counts (M_i), drops and stats were booked and
+    the good event's window opened, losing the good event while counting
+    it.  The codec now refuses the frame, so nothing of it is ingested."""
+    registry = _registry()
+    engine = ShardPool(workers=workers, grace_seconds=1.0) if workers else CentralEngine(1.0)
+    try:
+        plan = _plan("select COUNT(*), SUM(bid.bid_price) from bid window 60s "
+                     "sample events 50%;", registry)
+        engine.register(plan.central_object, planned_hosts=2, targeted_hosts=2,
+                        targeted_names=("h1", "h2"))
+        payload = {"exchange_id": 1, "bid_price": 0.5, "user_id": 1}
+        good = Event("bid", payload, 1, 30.0, "h1")
+        frame = encode_full_batch(
+            EventBatch(host="h1", query_id="q1",
+                       events=[good, Event("bid", payload, 2, stamp, "h1")],
+                       seen_counts={("bid", 0): 4}, dropped=3)
+        )
+        with pytest.raises(ValueError, match="non-finite timestamp"):
+            engine.ingest_frame(frame)
+        rq = engine._queries["q1"]
+        assert engine.stats == type(engine.stats)()
+        assert rq.host_acc == {} and rq.dropped_by_window == {}
+        assert rq.hosts_by_window == {} and rq.tracker.open_windows == ()
+        # The engine is not wedged: a clean batch lands as usual.
+        engine.ingest_frame(
+            encode_full_batch(EventBatch(host="h1", query_id="q1", events=[good],
+                                         seen_counts={("bid", 0): 2}))
+        )
+        assert engine.stats.events_received == 1
+        assert rq.host_window_acc(0, "h1").seen == 2
+        (window,) = engine.finish("q1").windows
+        assert window.late_events == 0
+    finally:
+        if workers:
+            engine.close()
+
+
 def test_pool_workers_1_vs_4_identical():
     registry = _registry()
     with ShardPool(workers=1, grace_seconds=1.0) as a:

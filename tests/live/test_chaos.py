@@ -50,16 +50,20 @@ class _Echo:
         self.listener.close()
 
 
-def _ping_through(proxy: ChaosProxy, count: int, timeout: float = 5.0) -> int:
+def _ping_through(
+    proxy: ChaosProxy, count: int, timeout: float = 5.0, expect: int | None = None
+) -> int:
     """Send `count` PINGs through the proxy; return how many PONGs came
-    back before the link went quiet."""
+    back before the link went quiet.  Reads `expect` replies (default
+    `count`) before closing — closing tears the link down, so a test
+    whose proxy multiplies frames must wait for all of them."""
     answered = 0
     with socket.create_connection(proxy.address, timeout=timeout) as sock:
         sock.settimeout(timeout)
         try:
             for token in range(count):
                 sock.sendall(encode_message_frame(MsgType.PING, {"token": token}))
-            for _ in range(count):
+            for _ in range(count if expect is None else expect):
                 frame = recv_frame(sock)
                 if frame is None:
                     break
@@ -157,7 +161,9 @@ class TestForwarding:
         echo = _Echo()
         plan = FaultPlan.only([MsgType.PING], dup_rate=1.0)
         with ChaosProxy(echo.address, plan=plan) as proxy:
-            _ping_through(proxy, 10)
+            # 5 duplicated PINGs already yield 10 PONGs: reading only 10
+            # could close the link before the proxy pumped the other 5.
+            assert _ping_through(proxy, 10, expect=20) == 20
             assert proxy.frames_duplicated == 10
         assert echo.received == 20
         echo.close()

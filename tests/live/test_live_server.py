@@ -336,6 +336,29 @@ class TestDataChannel:
             ctl.close()
             agent.close()
 
+    @pytest.mark.parametrize("stamp", [float("inf"), float("nan")], ids=["inf", "nan"])
+    def test_non_finite_timestamp_batch_is_rejected_whole(self, engine_harness, stamp):
+        """One unwindowable event must not half-ingest its batch: the
+        frame is rejected at the codec, counted, and the next one lands."""
+        agent, ctl, qid = self._running_query(engine_harness)
+        try:
+            now = time.time()
+            poisoned = self._batch(qid, now, seen_counts={("pv", 0): 8}, dropped=3)
+            poisoned.events[-1].timestamp = stamp
+            with self._data_socket(engine_harness) as sock:
+                sock.sendall(encode_batch_frame(poisoned))
+                sock.sendall(encode_batch_frame(self._batch(qid, now)))
+                self._drain(sock)
+            engine = ctl.stats()["engine"]
+            assert engine["batches_rejected"] == 1
+            assert engine["batches_received"] == 1
+            assert engine["events_received"] == 8
+            (window,) = ctl.finish(qid).windows
+            assert window.host_dropped == 0
+        finally:
+            ctl.close()
+            agent.close()
+
 
 def test_shards_flag_is_gone_not_ignored(capsys):
     with pytest.raises(SystemExit) as usage:
