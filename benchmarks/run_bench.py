@@ -8,17 +8,17 @@ machine-readable artifacts at the repo root:
 * ``BENCH_central.json`` — ScrubCentral ingest throughput for the
   per-event reference path (``CentralEngine.ingest_reference``, the
   pre-batching dispatch loop kept as executable documentation), the
-  batched serial path (``CentralEngine.ingest``), the process pool on
-  the pipe-bytes transport (``ShardPool`` with 1 and 4 workers), and
-  the pool on the shared-memory ring transport (``pool_4_shm``, where
-  the parent passes offsets, not bytes — docs/SCALING.md
-  §"Shared-memory ring ingest"; its entry also records the ring spill
-  counters).  Every mode consumes the same pre-encoded **wire
-  frames** — exactly what a scrubd data channel receives — so decode
-  cost is on the clock for every path: the serial modes decode then
-  ingest, the pool takes its zero-copy ``ingest_frame`` scan
-  (docs/SCALING.md §"Zero-copy shard ingest").  Every mode must
-  produce **identical** window results — the run aborts otherwise.
+  batched serial path (``CentralEngine.ingest``), and the process pool
+  as shipped (``ShardPool`` with 1 and 4 workers: the parent passes ring
+  offsets, not bytes — docs/SCALING.md §"Shared-memory ring ingest";
+  a pool entry also records the ring counters, whose spills say how
+  much of the run went over the pipe instead).  Every mode consumes the
+  same pre-encoded **wire frames** — exactly what a scrubd data channel
+  receives — so decode cost is on the clock for every path: the serial
+  modes decode then ingest, the pool takes its zero-copy
+  ``ingest_frame`` scan (docs/SCALING.md §"Zero-copy shard ingest").
+  Every mode must produce **identical** window results — the run aborts
+  otherwise.
 * ``BENCH_fastpath.json`` — per-call cost of ``ScrubAgent.log`` in the
   regimes the minimal-impact claim depends on (disabled probe,
   selection rejects, match+ship, sampled out, overload drop).
@@ -36,12 +36,11 @@ committed artifacts unless ``--output-dir`` says so.
 The machine matters: the pool cannot beat the batched serial path on a
 single core (workers time-slice one CPU and pay IPC on top), so the
 recorded artifact carries ``cpu_count`` and per-mode numbers.
-``--check`` enforces **pool_4 ≥ serial_batched** and
-**pool_4_shm ≥ pool_4** events/s on the heavy scenario only when
-``cpu_count >= 4`` — on smaller boxes it prints an explicit skip note
-instead of asserting a number the hardware cannot produce — and always
-holds the batched serial path to its floor over the per-event
-reference.
+``--check`` enforces **pool_4 ≥ serial_batched** events/s on the heavy
+scenario only when ``cpu_count >= 4`` — on smaller boxes it prints an
+explicit skip note instead of asserting a number the hardware cannot
+produce — and always holds the batched serial path to its floor over
+the per-event reference.
 """
 
 from __future__ import annotations
@@ -185,24 +184,20 @@ def _signature(results) -> str:
     return results.to_json() + "|" + repr(extra)
 
 
-def _run_mode(mode: str, workers: int, plan, frames: list[bytes], transport=None):
+def _run_mode(mode: str, workers: int, plan, frames: list[bytes]):
     """Ingest every wire frame, finish the query; return
     ``(elapsed_s, signature, ring)``.
 
     Frames are pre-encoded outside the timer: agents pay the encode, the
     central pays whatever its mode needs — full decode for the serial
     paths, the zero-copy header scan for the pool.  Feeding everyone the
-    same bytes keeps the comparison deployment-honest.  Pool modes pin
-    their transport explicitly (the legacy pool modes force pipe-bytes
-    so ``pool_4_shm`` measures the ring against a real baseline); *ring*
-    carries the shm transport counters from ``pool_health()``, or
-    ``None`` for non-shm modes.
+    same bytes keeps the comparison deployment-honest.  *ring* carries
+    the pool's ring counters from ``pool_health()``, or ``None`` for the
+    serial modes.
     """
     ring = None
     if mode == "pool":
-        engine: CentralEngine = ShardPool(
-            workers=workers, grace_seconds=0.0, transport=transport or "pipe"
-        )
+        engine: CentralEngine = ShardPool(workers=workers, grace_seconds=0.0)
     else:
         engine = CentralEngine(grace_seconds=0.0)
     try:
@@ -219,7 +214,7 @@ def _run_mode(mode: str, workers: int, plan, frames: list[bytes], transport=None
                 engine.ingest_frame(frame)
         results = engine.finish("q1")
         elapsed = time.perf_counter() - start
-        if transport == "shm":
+        if mode == "pool":
             health = engine.pool_health()
             ring = {
                 "transport": health["transport"],
@@ -237,11 +232,10 @@ def _run_mode(mode: str, workers: int, plan, frames: list[bytes], transport=None
 
 
 MODES = [
-    ("reference", "reference", 0, None),
-    ("serial_batched", "serial", 0, None),
-    ("pool_1", "pool", 1, "pipe"),
-    ("pool_4", "pool", 4, "pipe"),
-    ("pool_4_shm", "pool", 4, "shm"),
+    ("reference", "reference", 0),
+    ("serial_batched", "serial", 0),
+    ("pool_1", "pool", 1),
+    ("pool_4", "pool", 4),
 ]
 
 
@@ -261,10 +255,8 @@ def bench_central(quick: bool) -> dict:
         frames = [encode_full_batch(batch) for batch in batches]
         modes = {}
         signatures = {}
-        for label, mode, workers, transport in MODES:
-            elapsed, signature, ring = _run_mode(
-                mode, workers, plan, frames, transport
-            )
+        for label, mode, workers in MODES:
+            elapsed, signature, ring = _run_mode(mode, workers, plan, frames)
             modes[label] = {
                 "elapsed_s": round(elapsed, 6),
                 "events_per_s": round(len(events) / elapsed, 1),
@@ -293,7 +285,7 @@ def bench_central(quick: bool) -> dict:
                 "results_identical": True,
                 "speedup_vs_reference": {
                     label: round(reference / modes[label]["elapsed_s"], 2)
-                    for label, _, _, _ in MODES
+                    for label, _, _ in MODES
                 },
             }
         )
@@ -301,7 +293,7 @@ def bench_central(quick: bool) -> dict:
             f"  {name}: "
             + "  ".join(
                 f"{label}={modes[label]['events_per_s']:,.0f}/s"
-                for label, _, _, _ in MODES
+                for label, _, _ in MODES
             )
         )
     return {
@@ -595,43 +587,13 @@ def main(argv: list[str] | None = None) -> int:
                 f"check OK: pool_4 {pool_eps:,.0f}/s >= serial_batched "
                 f"{serial_eps:,.0f}/s on {heavy['scenario']}"
             )
-        # The shared-memory ring must not lose to the pipe-bytes pool it
-        # replaces: descriptors-instead-of-bytes only counts as a win if
-        # the measurement says so.  Same honesty rules as above — the
-        # comparison needs real cores and a non-trivial run, so smaller
-        # boxes and --quick skip loudly, never silently.
-        shm_eps = heavy["modes"]["pool_4_shm"]["events_per_s"]
-        shm_ring = heavy["modes"]["pool_4_shm"].get("ring", {})
+        ring = heavy["modes"]["pool_4"]["ring"]
         print(
-            f"  pool_4_shm ring: transport={shm_ring.get('transport', '?')} "
-            f"spills={shm_ring.get('spills', 0)} "
-            f"bytes_in_place={shm_ring.get('bytes_in_place', 0):,} "
-            f"high_water={shm_ring.get('high_water', 0):,}"
+            f"  pool_4 ring: transport={ring['transport']} "
+            f"spills={ring['spills']} "
+            f"bytes_in_place={ring['bytes_in_place']:,} "
+            f"high_water={ring['high_water']:,}"
         )
-        if cores < 4:
-            print(
-                f"SKIP: shm-beats-pipe assertion needs cpu_count >= 4, "
-                f"have {cores} (pool_4_shm measured {shm_eps:,.0f}/s vs "
-                f"pool_4 {pool_eps:,.0f}/s, not enforced)"
-            )
-        elif args.quick:
-            print(
-                "SKIP: shm-beats-pipe assertion skipped under --quick "
-                f"(tiny runs are IPC-startup-dominated; pool_4_shm measured "
-                f"{shm_eps:,.0f}/s vs pool_4 {pool_eps:,.0f}/s)"
-            )
-        elif shm_eps < pool_eps:
-            print(
-                f"FAIL: pool_4_shm ingests {shm_eps:,.0f} events/s < "
-                f"pool_4 {pool_eps:,.0f} events/s on "
-                f"{heavy['scenario']} with {cores} cores"
-            )
-            return 1
-        else:
-            print(
-                f"check OK: pool_4_shm {shm_eps:,.0f}/s >= pool_4 "
-                f"{pool_eps:,.0f}/s on {heavy['scenario']}"
-            )
         base = fastpath["regimes"]["disabled_probe"]["ns_per_call"]
         if base >= 3_000:
             print(f"FAIL: disabled probe costs {base:.0f} ns/call (>= 3 µs)")

@@ -727,9 +727,6 @@ class ScrubAgent:
                 m = r >> 32
                 if m:
                     entries = group.entries
-                    buffer = self._buffer
-                    buf_items = buffer._items
-                    full_payload: Optional[dict] = None
                     idx = 0
                     while m:
                         if m & 1:
@@ -744,36 +741,10 @@ class ScrubAgent:
                             key = (event_type, window)
                             sbw = iq.seen_by_window
                             sbw[key] = sbw.get(key, 0) + 1
-                            if iq.fast_ship:
-                                # Only reached on the closure fallback —
-                                # codegen fuses fast-ship entries.
-                                if m & 2:
-                                    project = iq.project_fields
-                                    if project is None:
-                                        if full_payload is None:
-                                            full_payload = dict(data)
-                                        out = full_payload
-                                    else:
-                                        out = {
-                                            k: data[k] for k in project if k in data
-                                        }
-                                    # Inlined BoundedBuffer.offer_unlocked —
-                                    # the agent lock serializes all buffer use.
-                                    buffer._offered += 1
-                                    if len(buf_items) < buffer._capacity:
-                                        buf_items.append((iq, out, request_id, now))
-                                        qstats.shipped += 1
-                                        stats.events_shipped += 1
-                                    else:
-                                        buffer._dropped += 1
-                                        qstats.dropped += 1
-                                        iq.pending_dropped += 1
-                                        stats.events_dropped += 1
-                            else:
-                                self._slow_match(
-                                    iq, qstats, data, event_type, request_id, now,
-                                    window, bool(m & 2),
-                                )
+                            self._slow_match(
+                                iq, qstats, data, event_type, request_id, now,
+                                window, bool(m & 2),
+                            )
                             if timed:
                                 if proc is None:
                                     proc = {}
@@ -828,9 +799,10 @@ class ScrubAgent:
         window: int,
         keep: bool,
     ) -> None:
-        """Matched-event processing for governed or aggregating queries
-        (the uncommon path ``log()`` keeps out of its inline loop).
-        Caller holds the lock and has already done seen accounting."""
+        """Matched-event processing for every entry generated code did
+        not fuse: governed or aggregating queries, and plain shipping on
+        the closure fallback.  Caller holds the lock and has already done
+        seen accounting."""
         stats = self.stats
         gov = iq.governor
         if gov is not None and gov.shedding:

@@ -389,20 +389,26 @@ class CentralEngine:
             acc.seen += count
             rq.hosts_by_window.setdefault(window, set()).add(batch.host)
 
-        if batch.dropped:
+        if batch.dropped or batch.shed:
+            # Both are booked on the latest open window.  With none open (a
+            # query's first batch, a gap between windows) the batch's own
+            # events have not opened theirs yet: open the latest window
+            # seen_counts names — a lost event was counted as seen in the
+            # same log() call — at its midpoint, so float floor division
+            # cannot land one early.
             open_windows = rq.tracker.open_windows
+            if not open_windows and batch.seen_counts:
+                named = max(window for _event_type, window in batch.seen_counts)
+                open_windows = rq.tracker.open_at((named + 0.5) * rq.spec.window_seconds)
             window = open_windows[-1] if open_windows else 0
-            rq.dropped_by_window[window] = (
-                rq.dropped_by_window.get(window, 0) + batch.dropped
-            )
-
-        if batch.shed:
-            # Same attribution rule as drops: the latest open window.
-            open_windows = rq.tracker.open_windows
-            window = open_windows[-1] if open_windows else 0
-            per_host = rq.shed_by_window.setdefault(window, {})
-            per_host[batch.host] = per_host.get(batch.host, 0) + batch.shed
-            self.stats.events_shed += batch.shed
+            if batch.dropped:
+                rq.dropped_by_window[window] = (
+                    rq.dropped_by_window.get(window, 0) + batch.dropped
+                )
+            if batch.shed:
+                per_host = rq.shed_by_window.setdefault(window, {})
+                per_host[batch.host] = per_host.get(batch.host, 0) + batch.shed
+                self.stats.events_shed += batch.shed
 
         if batch.quarantined:
             if batch.host not in rq.quarantined:

@@ -48,7 +48,6 @@ __all__ = [
     "make_field_getter",
     "make_row_getter",
     "compile_cached",
-    "compilation_cache_info",
 ]
 
 #: Sentinel passed to COUNT(*) states: always non-NULL, so every row counts.
@@ -107,11 +106,6 @@ def compile_cached(expr: Expr, sources: tuple[str, ...]) -> Callable[[Any], Any]
         # An unhashable literal (not produced by the parser, but the AST
         # is public API) — compile without caching.
         return compile_expr(expr, make_field_getter(sources))
-
-
-def compilation_cache_info():
-    """Hit/miss statistics for the normalized-AST compilation cache."""
-    return _compile_normalized.cache_info()
 
 
 class Accessors(NamedTuple):
@@ -323,9 +317,6 @@ class WindowGroups:
             )
             rows.append(ResultRow(values))
         return rows
-
-    def aggregate_states_for(self, key: tuple[Any, ...]) -> list[AggregateState]:
-        return self.groups[key]
 
 
 def _group_key_part(value: Any) -> Any:

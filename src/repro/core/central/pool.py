@@ -37,19 +37,22 @@ parent-side accounting (M_i counts, drops, shed, coverage) is
 untouched, per-query failure isolation is preserved, and ``close()``
 stays idempotent with dead workers in any state.
 
-The boundary is the pickle-able event codec: events cross the pipe via
-``Event.__reduce__``, aggregate states come back via their flat pickle
-forms.  On the default shared-memory transport the hot path is leaner
-still: ``ingest_frame`` writes each shard's wire bytes once into that
-worker's SPSC ring (``shm_ring.ShmRing``) and sends only an integer
-descriptor over the pipe — the parent passes offsets, not bytes (see
-docs/SCALING.md §"Shared-memory ring ingest").  Ring-full spills to the
-pipe-bytes path, platform problems fall back to it entirely, and every
-respawn gets a fresh generation-tagged ring.  Everything observable —
-results, stats, coverage, drop/late accounting — matches the serial
-engine exactly in fault-free runs; ``benchmarks/run_bench.py`` and
-``tests/core/test_shard_pool.py`` pin that equivalence with supervision
-enabled, on both transports.
+Only wire bytes cross the process boundary on the way in, and there is
+one way in: ``ingest_frame`` scans a frame, writes each shard's event
+bytes once into that worker's SPSC ring (``shm_ring.ShmRing``) and sends
+an integer descriptor over the pipe — the parent passes offsets, not
+bytes (docs/SCALING.md §"Shared-memory ring ingest"); the worker decodes
+on its own core.  ``ingest(EventBatch)``, the in-process door, encodes
+the batch and takes the same path.  The same bytes go over the pipe
+instead only where the code observes a need: a full ring spills that one
+send, a platform that cannot create or attach a ring falls back for the
+whole pool (one warning), and the retry after a respawn never reuses a
+descriptor.  Every respawn gets a fresh generation-tagged ring.  Only
+aggregate states come back pickled, via their flat pickle forms.
+Everything observable — results, stats, coverage, drop/late accounting —
+matches the serial engine exactly in fault-free runs;
+``benchmarks/run_bench.py`` and ``tests/core/test_shard_pool.py`` pin
+that equivalence with supervision enabled, ring and pipe bytes alike.
 """
 
 from __future__ import annotations
@@ -60,14 +63,13 @@ import os
 import warnings
 from typing import Any, Callable, Mapping, Optional
 
-from ..agent.transport import EventBatch, scan_full_batch
+from ..agent.transport import EventBatch, encode_full_batch, scan_full_batch
 from ..events.encoding import decode_event_frames
 from ..query.errors import ScrubExecutionError
 from ..query.planner import CentralQueryObject
 from .engine import DEFAULT_GRACE_SECONDS, CentralEngine, _RunningQuery
 from .results import ResultSet, WindowResult
 from .shm_ring import DEFAULT_RING_CAPACITY, ShmRing
-from .window import TumblingWindowAssigner
 
 __all__ = ["ShardPool", "DEFAULT_WORKER_TIMEOUT"]
 
@@ -130,66 +132,36 @@ def _worker_main(
         except (EOFError, OSError):
             break
         kind = message[0]
-        if kind == "events":
-            _, query_id, window, events = message
-            if query_id in failed:
-                continue
-            rq = engine._queries.get(query_id)
-            if rq is None:
-                continue
-            try:
-                engine._process_window_events(rq, window, events)
-            except Exception as exc:  # noqa: BLE001 - reported at close
-                failed[query_id] = f"{type(exc).__name__}: {exc}"
-        elif kind == "frames":
-            # Zero-copy ingest: the parent shipped this shard's slice of a
-            # wire frame undecoded; the Event objects are built here, on
+        if kind in ("shm", "frames"):
+            # The parent shipped this shard's slice of a wire frame
+            # undecoded — in the ring, or (spill, fallback, post-respawn
+            # retry) over the pipe; the Event objects are built here, on
             # the worker's core, off the parent's critical path.
-            _, query_id, window, count, payload = message
-            if query_id in failed:
-                continue
-            rq = engine._queries.get(query_id)
-            if rq is None:
-                continue
+            if kind == "shm":
+                _, query_id, window, count, offset, length, upto, _seq, gen = message
+                if ring is None or gen != ring.generation:
+                    continue
+                payload = ring.payload(offset, length)
+            else:
+                _, query_id, window, count, payload = message
             try:
-                events = decode_event_frames(payload, count)
-                engine._process_window_events(rq, window, events)
+                try:
+                    rq = None if query_id in failed else engine._queries.get(query_id)
+                    events = None if rq is None else decode_event_frames(payload, count)
+                finally:
+                    if kind == "shm":
+                        # The release runs even when the query failed or
+                        # vanished; a skipped ack would strand those bytes
+                        # and jam the ring into permanent spill.  Decode
+                        # copied the bytes out; drop the sub-view *before*
+                        # acking — a lingering export would keep the
+                        # segment's mmap pinned past ring.close() at exit.
+                        payload.release()
+                        ring.release(upto)
+                if rq is not None:
+                    engine._process_window_events(rq, window, events)
             except Exception as exc:  # noqa: BLE001 - reported at close
                 failed[query_id] = f"{type(exc).__name__}: {exc}"
-        elif kind == "shm":
-            # Shared-memory ingest: the payload bytes never crossed the
-            # pipe — decode them straight out of the ring, then release
-            # the span back to the producer.  The release runs even when
-            # the query failed or vanished; a skipped ack would strand
-            # those bytes and jam the ring into permanent spill.
-            _, query_id, window, count, offset, length, upto, _seq, gen = message
-            if ring is None or gen != ring.generation:
-                continue
-            events = None
-            error: Optional[str] = None
-            rq = None
-            payload = ring.payload(offset, length)
-            try:
-                if query_id not in failed:
-                    rq = engine._queries.get(query_id)
-                    if rq is not None:
-                        try:
-                            events = decode_event_frames(payload, count)
-                        except Exception as exc:  # noqa: BLE001
-                            error = f"{type(exc).__name__}: {exc}"
-            finally:
-                # Decode copied the bytes out; drop the sub-view *before*
-                # acking — a lingering export would keep the segment's
-                # mmap pinned past ring.close() at worker exit.
-                payload.release()
-                ring.release(upto)
-            if error is not None:
-                failed[query_id] = error
-            elif events is not None:
-                try:
-                    engine._process_window_events(rq, window, events)
-                except Exception as exc:  # noqa: BLE001 - reported at close
-                    failed[query_id] = f"{type(exc).__name__}: {exc}"
         elif kind == "close":
             _, query_id, window = message
             error = failed.get(query_id)
@@ -250,8 +222,8 @@ def _collect_window(engine: CentralEngine, query_id: str, window: int):
 class _Worker:
     """One supervised shard worker: process, pipe, generation, and ring.
 
-    ``ring`` is ``None`` on the pipe-bytes transport (or after a
-    capability fallback); the per-worker counters feed ``pool_health()``.
+    ``ring`` is ``None`` after a capability fallback to pipe-bytes; the
+    per-worker counters feed ``pool_health()``.
     """
 
     __slots__ = (
@@ -291,15 +263,12 @@ class ShardPool(CentralEngine):
         grace_seconds: float = DEFAULT_GRACE_SECONDS,
         on_window: Optional[Callable[[WindowResult], None]] = None,
         worker_timeout: float = DEFAULT_WORKER_TIMEOUT,
-        transport: str = "shm",
         ring_capacity: int = DEFAULT_RING_CAPACITY,
     ) -> None:
         super().__init__(grace_seconds, on_window)
         self.workers = max(1, workers if workers is not None else (os.cpu_count() or 1))
         if worker_timeout <= 0:
             raise ValueError(f"worker_timeout must be positive, got {worker_timeout}")
-        if transport not in ("shm", "pipe"):
-            raise ValueError(f"transport must be 'shm' or 'pipe', got {transport!r}")
         if ring_capacity <= 0:
             raise ValueError(f"ring_capacity must be positive, got {ring_capacity}")
         self._worker_timeout = worker_timeout
@@ -307,7 +276,7 @@ class ShardPool(CentralEngine):
         #: Whether new worker spawns get a shared-memory ring.  Flips to
         #: False (once, with a log line) on any create/attach failure —
         #: the pool degrades to pipe-bytes instead of crashing.
-        self._use_shm = transport == "shm"
+        self._use_shm = True
         self._ring_capacity = ring_capacity
         methods = multiprocessing.get_all_start_methods()
         self._ctx = multiprocessing.get_context(
@@ -321,15 +290,6 @@ class ShardPool(CentralEngine):
             self._spawn(i, generation=0) for i in range(self.workers)
         ]
         self._closed = False
-
-    # Back-compat views (tests and tooling peek at these).
-    @property
-    def _procs(self) -> list:
-        return [w.proc for w in self._workers]
-
-    @property
-    def _conns(self) -> list:
-        return [w.conn for w in self._workers]
 
     # -- supervision -----------------------------------------------------------
 
@@ -453,7 +413,7 @@ class ShardPool(CentralEngine):
             {"shard": index, "generation": fresh.generation, "reason": reason}
         )
         for rq in self._queries.values():
-            if not getattr(rq, "parallel", False):
+            if not rq.parallel:
                 continue
             try:
                 fresh.conn.send(("register", rq.spec))
@@ -469,10 +429,7 @@ class ShardPool(CentralEngine):
             gaps.setdefault(window, {})[f"shard-{index}"] = gap_reason
 
     def _shard_gaps_for(self, rq: _RunningQuery, window: int) -> dict[str, str]:
-        gaps = getattr(rq, "shard_gaps", None)
-        if not gaps:
-            return {}
-        return gaps.pop(window, {})
+        return rq.shard_gaps.pop(window, {})
 
     def pool_health(self) -> dict[str, Any]:
         """Supervisor view: liveness, respawn history, and ring transport.
@@ -558,7 +515,7 @@ class ShardPool(CentralEngine):
 
     def finish(self, query_id: str, drain: bool = True) -> ResultSet:
         rq = self._queries.get(query_id)
-        parallel = rq is not None and getattr(rq, "parallel", False)
+        parallel = rq is not None and rq.parallel
         if parallel and not drain:
             # Windows left open are never collected; drop the workers'
             # copies instead of leaking them.
@@ -616,43 +573,13 @@ class ShardPool(CentralEngine):
     # -- ingest ----------------------------------------------------------------
 
     def ingest(self, batch: EventBatch) -> None:
+        """The in-process door: encode and take the one way in.  Raw
+        selections stay on the parent, as objects."""
         rq = self._queries.get(batch.query_id)
-        if rq is None:
-            return
-        if not getattr(rq, "parallel", False):
+        if rq is not None and rq.parallel:
+            self.ingest_frame(encode_full_batch(batch))
+        else:
             super().ingest(batch)
-            return
-        stats = self.stats
-        stats.batches_received += 1
-        stats.events_received += len(batch.events)
-        stats.bytes_received += batch.wire_size()
-
-        self._ingest_metadata(rq, batch)
-        if not batch.events:
-            return
-        query_id = batch.query_id
-        n = self.workers
-        for window, events in self._segment_events(rq, batch.events).items():
-            hosts = rq.hosts_by_window.get(window)
-            if hosts is None:
-                hosts = rq.hosts_by_window[window] = set()
-            for event in events:
-                hosts.add(event.host)
-            if n == 1:
-                self._send_to_worker(
-                    0, ("events", query_id, window, events),
-                    "pipe error during ingest",
-                )
-                continue
-            shards: list[list] = [[] for _ in range(n)]
-            for event in events:
-                shards[event.request_id % n].append(event)
-            for index, shard_events in enumerate(shards):
-                if shard_events:
-                    self._send_to_worker(
-                        index, ("events", query_id, window, shard_events),
-                        "pipe error during ingest",
-                    )
 
     def ingest_frame(self, data: bytes | memoryview) -> None:
         """Zero-copy ingest of a wire frame: scan, slice, ship.
@@ -662,13 +589,12 @@ class ShardPool(CentralEngine):
         and byte extents — no :class:`Event` is built on this process.
         Window segmentation and shard partitioning run over that header
         index; each worker's per-window slice then ships via
-        :meth:`_ship_shard` — on the shm transport the bytes are written
-        once into the worker's ring and only an integer descriptor
-        crosses the pipe; on the pipe transport (or on ring-full spill)
-        the raw bytes go as ``("frames", query_id, window, count,
-        payload)``.  Either way the worker decodes on its side.  Falls
-        back to the decoded object path for non-parallel (raw-selection)
-        queries, which run on the parent.
+        :meth:`_ship_shard` — the bytes are written once into the
+        worker's ring and only an integer descriptor crosses the pipe, or
+        (ring full, no ring) the raw bytes go as ``("frames", query_id,
+        window, count, payload)``.  Either way the worker decodes on its
+        side.  Falls back to the decoded object path for non-parallel
+        (raw-selection) queries, which run on the parent.
         """
         enc = scan_full_batch(data)
         meta = enc.meta
@@ -676,7 +602,7 @@ class ShardPool(CentralEngine):
         if rq is None:
             # Query ended while the frame was in flight — expected race.
             return
-        if not getattr(rq, "parallel", False):
+        if not rq.parallel:
             CentralEngine.ingest(self, enc.to_event_batch())
             return
         stats = self.stats
@@ -690,19 +616,11 @@ class ShardPool(CentralEngine):
         query_id = meta.query_id
         n = self.workers
         buf = enc.data
-        for window, frames in self._segment_frames(rq, enc.frames).items():
+        segments = self._segment_events(rq, enc.frames, [f[1] for f in enc.frames])
+        for window, frames in segments.items():
             hosts = rq.hosts_by_window.get(window)
             if hosts is None:
                 hosts = rq.hosts_by_window[window] = set()
-            if n == 1:
-                extents: list[tuple[int, int]] = []
-                total = 0
-                for _rid, _ts, host, start, stop in frames:
-                    hosts.add(host)
-                    extents.append((start, stop))
-                    total += stop - start
-                self._ship_shard(0, query_id, window, len(frames), extents, total, buf)
-                continue
             shard_extents: list[Optional[list[tuple[int, int]]]] = [None] * n
             counts = [0] * n
             totals = [0] * n
@@ -781,54 +699,10 @@ class ShardPool(CentralEngine):
             "pipe error during ingest",
         )
 
-    def _segment_frames(
-        self, rq: _RunningQuery, frames: list
-    ) -> dict[int, list]:
-        """:meth:`CentralEngine._segment_events` over scanned frame tuples.
-
-        Identical window assignment and late accounting, keyed on the
-        header timestamp (``frame[1]``) instead of ``event.timestamp`` —
-        the differential suite holds the two segmentations to the same
-        windows, order, and late counts.
-        """
-        tracker = rq.tracker
-        segments: dict[int, list] = {}
-        assigner = tracker.assigner
-        if type(assigner) is TumblingWindowAssigner:
-            length = assigner.length
-            closed_upto = tracker._closed_upto
-            open_set = tracker._open
-            late = 0
-            for frame in frames:
-                index = int(frame[1] // length)
-                if closed_upto is not None and index <= closed_upto:
-                    late += 1
-                    continue
-                slot = segments.get(index)
-                if slot is None:
-                    slot = segments[index] = []
-                    open_set.add(index)
-                slot.append(frame)
-            if late:
-                tracker.late_events += late
-                self.stats.events_late += late
-                rq.late_since_close += late
-        else:
-            stats = self.stats
-            for frame in frames:
-                indices = tracker.observe(frame[1])
-                if not indices:
-                    stats.events_late += 1
-                    rq.late_since_close += 1
-                    continue
-                for window in indices:
-                    segments.setdefault(window, []).append(frame)
-        return segments
-
     # -- window close ----------------------------------------------------------
 
     def _close_window(self, rq: _RunningQuery, window: int) -> WindowResult:
-        if getattr(rq, "parallel", False):
+        if rq.parallel:
             query_id = rq.spec.query_id
             state = rq.windows.get(window)
             if state is None:

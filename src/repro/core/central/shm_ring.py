@@ -76,11 +76,6 @@ class RingUnavailable(RuntimeError):
     """Shared-memory rings cannot be used here (platform or attach failure)."""
 
 
-def shm_available() -> bool:
-    """Whether :mod:`multiprocessing.shared_memory` imported at all."""
-    return shared_memory is not None
-
-
 class ShmRing:
     """One SPSC byte ring over a named ``SharedMemory`` segment.
 

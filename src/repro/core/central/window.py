@@ -101,13 +101,16 @@ class WindowTracker:
         """Register an event timestamp; returns the window indices it
         falls into, or an empty tuple (and a late count) if all its
         windows already closed."""
-        indices = tuple(self.assigner.assign(timestamp))
-        live = tuple(i for i in indices if not self._is_closed(i))
+        live = self.open_at(timestamp)
         if not live:
             self.late_events += 1
-            return ()
-        for index in live:
-            self._open.add(index)
+        return live
+
+    def open_at(self, timestamp: float) -> tuple[int, ...]:
+        """Open the not-yet-closed windows covering *timestamp* and return
+        them; unlike :meth:`observe`, finding them all closed is not late."""
+        live = tuple(i for i in self.assigner.assign(timestamp) if not self._is_closed(i))
+        self._open.update(live)
         return live
 
     def _is_closed(self, index: int) -> bool:

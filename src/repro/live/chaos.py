@@ -53,10 +53,10 @@ __all__ = [
 
 
 def _worker_pid(pool, index: int) -> int:
-    procs = pool._procs
-    if not 0 <= index < len(procs):
-        raise IndexError(f"pool has {len(procs)} workers; no index {index}")
-    pid = procs[index].pid
+    workers = pool._workers
+    if not 0 <= index < len(workers):
+        raise IndexError(f"pool has {len(workers)} workers; no index {index}")
+    pid = workers[index].proc.pid
     if pid is None:
         raise RuntimeError(f"worker {index} has no pid (not started?)")
     return pid
@@ -67,7 +67,7 @@ def sigkill_worker(pool, index: int) -> int:
     fault a segfault or OOM kill produces).  Returns the dead pid."""
     pid = _worker_pid(pool, index)
     os.kill(pid, signal.SIGKILL)
-    pool._procs[index].join(timeout=5)
+    pool._workers[index].proc.join(timeout=5)
     return pid
 
 

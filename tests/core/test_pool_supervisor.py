@@ -56,7 +56,7 @@ def _batch(window: int, n: int = 40, host: str = "h1", query_id: str = "q1",
 
 
 def _kill_worker(pool: ShardPool, index: int) -> None:
-    proc = pool._procs[index]
+    proc = pool._workers[index].proc
     proc.kill()
     proc.join(timeout=5)
 
@@ -96,7 +96,7 @@ class TestSupervisor:
 
     def test_close_is_idempotent_with_a_pre_killed_worker(self, registry):
         pool = ShardPool(workers=2, grace_seconds=1.0)
-        procs = list(pool._procs)
+        procs = [w.proc for w in pool._workers]
         _kill_worker(pool, 0)
         pool.close()
         pool.close()
@@ -106,7 +106,7 @@ class TestSupervisor:
         with ShardPool(workers=2, grace_seconds=1.0, worker_timeout=0.5) as pool:
             pool.register(_plan(COUNT_QUERY, registry).central_object)
             pool.ingest(_batch(window=0, n=40))
-            os.kill(pool._procs[0].pid, signal.SIGSTOP)
+            os.kill(pool._workers[0].proc.pid, signal.SIGSTOP)
             (w0,) = pool.advance(61.5)
             assert "hung" in w0.coverage.shard_gaps["shard-0"]
             health = pool.pool_health()

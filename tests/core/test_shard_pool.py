@@ -15,6 +15,8 @@ left-fold association exactly, so the comparison is ``==``, not
 
 from __future__ import annotations
 
+from datetime import datetime
+
 import pytest
 
 from repro.core.agent.transport import EventBatch, encode_full_batch
@@ -257,6 +259,34 @@ def test_frame_ingest_metadata_only_batch():
         pool.finish("q1")
 
 
+_PAYLOAD = {"exchange_id": 1, "bid_price": 0.5, "user_id": 1}
+
+
+def _assert_refused_whole(engine, deliver, bad: Event, error, match: str) -> None:
+    """*deliver* a batch holding one good event and *bad*: it must raise
+    the codec's error with nothing of the batch booked, and the engine
+    must still take the next batch."""
+    plan = _plan("select COUNT(*), SUM(bid.bid_price) from bid window 60s "
+                 "sample events 50%;", _registry())
+    engine.register(plan.central_object, planned_hosts=2, targeted_hosts=2,
+                    targeted_names=("h1", "h2"))
+    good = Event("bid", _PAYLOAD, 1, 30.0, "h1")
+    with pytest.raises(error, match=match):
+        deliver(EventBatch(host="h1", query_id="q1", events=[good, bad],
+                           seen_counts={("bid", 0): 4}, dropped=3))
+    rq = engine._queries["q1"]
+    assert engine.stats == type(engine.stats)()
+    assert rq.host_acc == {} and rq.dropped_by_window == {}
+    assert rq.hosts_by_window == {} and rq.tracker.open_windows == ()
+    # The engine is not wedged: a clean batch lands as usual.
+    deliver(EventBatch(host="h1", query_id="q1", events=[good],
+                       seen_counts={("bid", 0): 2}))
+    assert engine.stats.events_received == 1
+    assert rq.host_window_acc(0, "h1").seen == 2
+    (window,) = engine.finish("q1").windows
+    assert window.late_events == 0
+
+
 @pytest.mark.parametrize("stamp", [float("inf"), float("nan")], ids=["inf", "nan"])
 @pytest.mark.parametrize("workers", [0, 2], ids=["serial", "pool2"])
 def test_non_finite_timestamp_rejects_the_batch_before_any_booking(workers, stamp):
@@ -264,35 +294,69 @@ def test_non_finite_timestamp_rejects_the_batch_before_any_booking(workers, stam
     *after* the batch's seen counts (M_i), drops and stats were booked and
     the good event's window opened, losing the good event while counting
     it.  The codec now refuses the frame, so nothing of it is ingested."""
-    registry = _registry()
     engine = ShardPool(workers=workers, grace_seconds=1.0) if workers else CentralEngine(1.0)
     try:
-        plan = _plan("select COUNT(*), SUM(bid.bid_price) from bid window 60s "
-                     "sample events 50%;", registry)
-        engine.register(plan.central_object, planned_hosts=2, targeted_hosts=2,
-                        targeted_names=("h1", "h2"))
-        payload = {"exchange_id": 1, "bid_price": 0.5, "user_id": 1}
-        good = Event("bid", payload, 1, 30.0, "h1")
-        frame = encode_full_batch(
-            EventBatch(host="h1", query_id="q1",
-                       events=[good, Event("bid", payload, 2, stamp, "h1")],
-                       seen_counts={("bid", 0): 4}, dropped=3)
+        _assert_refused_whole(
+            engine, lambda batch: engine.ingest_frame(encode_full_batch(batch)),
+            Event("bid", _PAYLOAD, 2, stamp, "h1"), ValueError, "non-finite timestamp",
         )
-        with pytest.raises(ValueError, match="non-finite timestamp"):
-            engine.ingest_frame(frame)
+    finally:
+        if workers:
+            engine.close()
+
+
+@pytest.mark.parametrize(
+    "bad, error, match",
+    [
+        (Event("bid", _PAYLOAD, 2, float("inf"), "h1"), ValueError, "non-finite timestamp"),
+        (Event("bid", _PAYLOAD, 2, float("nan"), "h1"), ValueError, "non-finite timestamp"),
+        (Event("bid", {**_PAYLOAD, "at": datetime(2026, 1, 1)}, 2, 31.0, "h1"),
+         TypeError, "unencodable value"),
+    ],
+    ids=["inf", "nan", "datetime"],
+)
+def test_object_door_refuses_what_the_codec_cannot_carry(bad, error, match):
+    """`ShardPool.ingest` encodes, so the in-process door holds the wire
+    doors' contract: a batch the codec cannot carry is refused whole,
+    before any accounting — not part-way through per-shard sends."""
+    with ShardPool(workers=2, grace_seconds=1.0) as pool:
+        _assert_refused_whole(pool, pool.ingest, bad, error, match)
+
+
+@pytest.mark.parametrize("door", ["ingest", "ingest_frame"])
+@pytest.mark.parametrize("workers", [0, 2], ids=["serial", "pool2"])
+def test_losses_with_no_window_open_land_on_the_window_seen_counts_names(workers, door):
+    """A batch's `dropped`/`shed` are booked before its own events open
+    their window; with nothing open they used to go to window 0, which is
+    never emitted — a query's first batch lost its loss counts."""
+    engine = ShardPool(workers=workers, grace_seconds=1.0) if workers else CentralEngine(1.0)
+
+    def deliver(**batch):
+        batch = EventBatch(host="h1", query_id="q1", **batch)
+        if door == "ingest":
+            engine.ingest(batch)
+        else:
+            engine.ingest_frame(encode_full_batch(batch))
+
+    try:
+        engine.register(_plan("select COUNT(*) from bid window 60s;", _registry()).central_object)
+        # The query's first batch: one event, and the losses of its flush.
+        deliver(events=[Event("bid", _PAYLOAD, 1, 130.0, "h1")],
+                seen_counts={("bid", 2): 9}, dropped=6, shed=2)
+        (first,) = engine.advance(200.0)
+        assert (first.window_start, first.host_dropped, first.host_shed) == (120.0, 6, 2)
+        assert first.rows[0][0] == 1
+        # In the gap after a close, a heartbeat flush: everything was lost.
+        deliver(events=[], seen_counts={("bid", 4): 8, ("bid", 3): 1}, dropped=5, shed=3)
+        assert engine._queries["q1"].tracker.open_windows == (4,)
+        (gap,) = engine.advance(400.0)
+        assert (gap.window_start, gap.host_dropped, gap.host_shed) == (240.0, 5, 3)
+        # A named window that has closed is not reopened and not "late".
+        deliver(events=[], seen_counts={("bid", 4): 1}, dropped=1)
         rq = engine._queries["q1"]
-        assert engine.stats == type(engine.stats)()
-        assert rq.host_acc == {} and rq.dropped_by_window == {}
-        assert rq.hosts_by_window == {} and rq.tracker.open_windows == ()
-        # The engine is not wedged: a clean batch lands as usual.
-        engine.ingest_frame(
-            encode_full_batch(EventBatch(host="h1", query_id="q1", events=[good],
-                                         seen_counts={("bid", 0): 2}))
-        )
-        assert engine.stats.events_received == 1
-        assert rq.host_window_acc(0, "h1").seen == 2
-        (window,) = engine.finish("q1").windows
-        assert window.late_events == 0
+        assert rq.tracker.open_windows == ()
+        assert rq.tracker.late_events == 0 and engine.stats.events_late == 0
+        assert len(engine.finish("q1").windows) == 2
     finally:
         if workers:
             engine.close()
@@ -362,7 +426,7 @@ def test_worker_failure_surfaces_as_execution_error():
 
 def test_pool_close_is_idempotent_and_reaps_workers():
     pool = ShardPool(workers=2, grace_seconds=1.0)
-    procs = list(pool._procs)
+    procs = [w.proc for w in pool._workers]
     assert all(p.is_alive() for p in procs)
     pool.close()
     pool.close()
@@ -434,6 +498,56 @@ def test_scrub_facade_with_workers_matches_serial():
     pooled = run(3)
     assert _signature(pooled) == _signature(serial)
     assert pooled.windows[0].estimates.keys() == serial.windows[0].estimates.keys()
+
+
+def test_scrub_facade_codec_hop_is_invisible_for_every_field_type():
+    """`Scrub(workers=N)` encodes every batch on its way to the workers.
+    Strings, NULLs, bools, lists and maps — as values and as group keys —
+    must come out exactly as the serial facade reports them."""
+    grouped = (
+        "select ev.name, ev.flag, ev.tags, ev.meta, COUNT(*), SUM(ev.val), "
+        "COUNT_DISTINCT(ev.name), TOP(2, ev.name), MAX(ev.name) from ev "
+        "window 60s group by ev.name, ev.flag, ev.tags, ev.meta;"
+    )
+    sampled = "select COUNT(*), AVG(ev.val) from ev sample events 50% window 60s;"
+
+    def run(workers: int):
+        clock = ManualClock(start=1.0)
+        with Scrub(clock=clock, grace_seconds=1.0, workers=workers) as scrub:
+            scrub.define_event(
+                "ev",
+                [("name", "string"), ("flag", "boolean"), ("tags", "list<string>"),
+                 ("meta", "object"), ("val", "double")],
+            )
+            hosts = [scrub.add_host(f"h{i}") for i in range(2)]
+            handles = [scrub.submit(grouped), scrub.submit(sampled)]
+            for i in range(200):
+                hosts[i % 2].log(
+                    "ev",
+                    {
+                        "name": None if i % 7 == 0 else f"n{i % 3}",
+                        "flag": None if i % 5 == 0 else bool(i % 2),
+                        "tags": [f"t{i % 2}", "x"] if i % 4 else [],
+                        "meta": {"k": i % 2, "in": {"deep": [1, None]}} if i % 3 else None,
+                        "val": None if i % 11 == 0 else (i % 8) * 0.25,
+                    },
+                    request_id=i,
+                )
+                if i == 100:
+                    clock.advance(60.0)  # a second window
+            results = [scrub.finish(handle.query_id) for handle in handles]
+            return results, scrub.central.stats
+
+    (serial_grouped, serial_sampled), serial_stats = run(0)
+    (pooled_grouped, pooled_sampled), pooled_stats = run(2)
+    assert len(serial_grouped.windows) == 2 and len(serial_grouped.rows) > 40
+    for pooled, serial in ((pooled_grouped, serial_grouped), (pooled_sampled, serial_sampled)):
+        assert _signature(pooled) == _signature(serial)
+        assert [w.rows for w in pooled.windows] == [w.rows for w in serial.windows]
+        assert [w.estimates for w in pooled.windows] == [w.estimates for w in serial.windows]
+        assert [w.coverage for w in pooled.windows] == [w.coverage for w in serial.windows]
+    assert serial_sampled.windows[0].estimates
+    assert pooled_stats == serial_stats
 
 
 def test_scrubd_daemon_uses_pool_when_workers_requested():

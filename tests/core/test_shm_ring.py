@@ -259,7 +259,9 @@ class _SpyConn:
 def test_shm_path_ships_descriptors_only():
     """Acceptance criterion: on the shm path the parent performs zero
     per-event byte joins — every ingest-side pipe message is an integer
-    descriptor, never a bytes payload."""
+    descriptor, never a bytes payload, whichever door the batch took:
+    ``ingest(EventBatch)`` encodes and goes the same way, so no pickled
+    ``Event`` crosses the pipe either."""
     registry = _registry()
     sent: list = []
     with ShardPool(workers=2, grace_seconds=1.0) as pool:
@@ -269,15 +271,17 @@ def test_shm_path_ships_descriptors_only():
             worker.conn = _SpyConn(worker.conn, sent)
         plan = _plan(HEAVY_QUERY, registry)
         pool.register(plan.central_object)
+        sent.clear()
         for start in range(0, 400, 100):
-            events = _bid_events(400)[start : start + 100]
-            pool.ingest_frame(
-                encode_full_batch(
-                    EventBatch(host="h1", query_id="q1", events=events)
-                )
+            batch = EventBatch(
+                host="h1", query_id="q1",
+                events=_bid_events(400)[start : start + 100],
             )
-        ingest_msgs = [m for m in sent if m[0] in ("frames", "shm", "events")]
-        assert ingest_msgs, "nothing was shipped"
+            pool.ingest_frame(encode_full_batch(batch))
+            from_frames = len(sent)
+            pool.ingest(batch)
+            assert len(sent) > from_frames, "the object door shipped nothing"
+        ingest_msgs = sent
         assert all(m[0] == "shm" for m in ingest_msgs)
         for m in ingest_msgs:
             # (qid, window, count, offset, length, release, seq, gen):
@@ -307,8 +311,20 @@ def test_tiny_ring_spills_and_results_identical():
         assert pool.pool_health()["ring_spills"] > 0
 
 
+def _no_rings(monkeypatch):
+    """The platform cannot create a ring: the pool observes it and falls
+    back to pipe-bytes (there is no option that selects them)."""
+
+    def boom(capacity, generation):
+        raise RingUnavailable("no /dev/shm here")
+
+    monkeypatch.setattr(pool_module.ShmRing, "create", staticmethod(boom))
+
+
 @pytest.mark.parametrize("transport", ["shm", "pipe"])
-def test_transports_match_serial(transport):
+def test_transports_match_serial(transport, monkeypatch):
+    if transport == "pipe":
+        _no_rings(monkeypatch)
     registry = _registry()
     events = _bid_events(500)
     batches = [
@@ -317,7 +333,7 @@ def test_transports_match_serial(transport):
         for i in range(4)
     ]
     serial = _run_frames(CentralEngine(grace_seconds=1.0), registry, batches)
-    with ShardPool(workers=4, grace_seconds=1.0, transport=transport) as pool:
+    with ShardPool(workers=4, grace_seconds=1.0) as pool:
         assert _run_frames(pool, registry, batches) == serial
         assert pool.pool_health()["transport"] == transport
 
@@ -407,23 +423,11 @@ def test_supervise_destroys_old_ring_and_issues_fresh_generation():
         assert health["rings"][0]["generation"] == 1
 
 
-def test_pipe_transport_surfaces_in_pool_health():
-    with ShardPool(workers=2, grace_seconds=1.0, transport="pipe") as pool:
-        health = pool.pool_health()
-        assert health["transport"] == "pipe"
-        assert all(r["transport"] == "pipe" for r in health["rings"])
-        assert all(w.ring is None for w in pool._workers)
-
-
 def test_ring_create_failure_falls_back_to_pipe(monkeypatch, caplog):
     """Capability fallback: if the platform cannot create a ring the pool
     logs once, runs pipe-bytes, and stays fully functional."""
     registry = _registry()
-
-    def boom(capacity, generation):
-        raise RingUnavailable("no /dev/shm here")
-
-    monkeypatch.setattr(pool_module.ShmRing, "create", staticmethod(boom))
+    _no_rings(monkeypatch)
     events = _bid_events(200)
     batches = [EventBatch(host="h1", query_id="q1", events=events)]
     serial = _run_frames(CentralEngine(grace_seconds=1.0), registry, batches)
@@ -431,6 +435,7 @@ def test_ring_create_failure_falls_back_to_pipe(monkeypatch, caplog):
         with ShardPool(workers=2, grace_seconds=1.0) as pool:
             health = pool.pool_health()
             assert health["transport"] == "pipe"
+            assert all(r["transport"] == "pipe" for r in health["rings"])
             assert all(w.ring is None for w in pool._workers)
             assert _run_frames(pool, registry, batches) == serial
     fallback_logs = [
@@ -440,7 +445,7 @@ def test_ring_create_failure_falls_back_to_pipe(monkeypatch, caplog):
 
 
 def test_invalid_transport_and_capacity_rejected():
-    with pytest.raises(ValueError, match="transport"):
-        ShardPool(workers=1, transport="carrier-pigeon")
+    with pytest.raises(TypeError, match="transport"):
+        ShardPool(workers=1, transport="pipe")  # observed, never selected
     with pytest.raises(ValueError, match="ring_capacity"):
         ShardPool(workers=1, ring_capacity=0)

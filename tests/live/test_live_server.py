@@ -298,13 +298,12 @@ class TestDataChannel:
                 quarantined="impact-budget-exceeded: test",
             )
             with self._data_socket(engine_harness) as sock:
-                # The engine books drops and sheds on the latest *open*
-                # window, so one earlier event opens it first.
-                sock.sendall(encode_batch_frame(self._batch(qid, stamp, rids=[8])))
+                # The query's first batch: no window is open yet, so the
+                # engine books drops and sheds on the one seen_counts names.
                 sock.sendall(encode_batch_frame(batch))
                 self._drain(sock)
             stats = ctl.stats()
-            assert stats["engine"]["events_received"] == 9
+            assert stats["engine"]["events_received"] == 8
             assert stats["engine"]["events_shed"] == 7
             assert stats["quarantines"][qid]["h1"].startswith("impact-budget")
             results = ctl.finish(qid)
