@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from ..core.central.engine import CentralEngine
 from ..core.agent.transport import EventBatch
 from ..core.events import EventRegistry
-from ..core.query.compile import compile_predicate
+from ..core.query.codegen import compile_predicate, event_rows
 from ..core.query.parser import parse_query
 from ..core.query.planner import plan_query
 from ..core.query.validator import validate_query
@@ -86,9 +86,7 @@ class BatchQueryEngine:
         plan = plan_query(validated, "batch")
 
         predicates = {
-            obj.event_type: compile_predicate(
-                obj.predicate, lambda _t, f: (lambda ev, _f=f: ev.get(_f))
-            )
+            obj.event_type: compile_predicate(obj.predicate, event_rows((obj.event_type,)))
             for obj in plan.host_objects
         }
 

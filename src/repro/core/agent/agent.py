@@ -49,13 +49,12 @@ from ..events import Event, EventRegistry
 from ..events.decorators import schema_of
 from ..events.event import _rebuild_event
 from ..query.codegen import (
-    COUNT_MASK,
     ArmedQuery,
-    CodegenUnsupported,
     build_entry,
     build_processor,
+    compile_expr,
+    payload_rows,
 )
-from ..query.compile import compile_expr, compile_predicate
 from ..query.planner import HostQueryObject
 from .buffer import BoundedBuffer
 from .governor import TIMING_SAMPLE_EVERY, ImpactBudget, QueryGovernor
@@ -68,12 +67,6 @@ _perf = time.perf_counter
 
 #: Smoothing factor for the per-query armed-cost EWMA (ns/routed call).
 _EWMA_ALPHA = 0.2
-
-
-def _host_field_getter(_event_type: Optional[str], field: str) -> Callable[[Event], Any]:
-    """Host predicates run on single events of a known type, so the
-    qualifier is ignored and resolution is a direct event lookup."""
-    return lambda event: event.get(field)
 
 
 @dataclass
@@ -108,7 +101,6 @@ class _InstalledQuery:
 
     __slots__ = (
         "spec",
-        "predicate",
         "project_fields",
         "sampler",
         "sample_always",
@@ -123,7 +115,6 @@ class _InstalledQuery:
         "agg_arg_fns",
         "partial_groups",
         "governor",
-        "fast_ship",
         "ewma_ns",
         "routed_base",
         "logged_base",
@@ -132,12 +123,12 @@ class _InstalledQuery:
     def __init__(
         self,
         spec: HostQueryObject,
+        host: str,
         keep_all_fields: bool,
         activates_at: float,
         expires_at: float,
     ) -> None:
         self.spec = spec
-        self.predicate = compile_predicate(spec.predicate, _host_field_getter)
         self.project_fields: Optional[tuple[str, ...]] = (
             None if keep_all_fields else spec.projection
         )
@@ -151,9 +142,6 @@ class _InstalledQuery:
         self.pending_shed = 0
         #: Resolved once at install; avoids a governors-dict lookup per event.
         self.governor: Optional[QueryGovernor] = None
-        #: Precomputed at install: no governor and no host aggregation,
-        #: so a match goes straight from the keep-bit to the buffer.
-        self.fast_ship = False
         #: Armed-cost EWMA (ns per routed call, dispatch share + match
         #: processing), fed by the 1-in-N timing samples; None until the
         #: first timed call routes this query's event type.
@@ -171,14 +159,14 @@ class _InstalledQuery:
         self.agg_arg_fns = None
         self.partial_groups: dict[int, dict[tuple, list[AggregateState]]] = {}
         if spec.aggregation is not None:
-            self.group_fns = [
-                compile_expr(g, _host_field_getter)
-                for g in spec.aggregation.group_by
-            ]
+            # Read straight off the payload log() was handed: a matched
+            # event is folded into its group without an Event being built.
+            shape = payload_rows(host)
+            self.group_fns = [compile_expr(g, shape) for g in spec.aggregation.group_by]
             self.agg_arg_fns = [
-                (lambda _event: True)
+                (lambda _data, _rid, _now: True)
                 if agg.arg is None
-                else compile_expr(agg.arg, _host_field_getter)
+                else compile_expr(agg.arg, shape)
                 for agg in spec.aggregation.aggregates
             ]
         # Aggregating queries never consult the sampler (preaggregation
@@ -187,18 +175,18 @@ class _InstalledQuery:
             spec.event_sampling_rate >= 1.0 or spec.aggregation is not None
         )
 
-    def preaggregate(self, event: Event, window: int) -> None:
+    def preaggregate(self, data: dict, rid: int, now: float, window: int) -> None:
         per_window = self.partial_groups.get(window)
         if per_window is None:
             per_window = {}
             self.partial_groups[window] = per_window
-        key = tuple(_group_key_part(fn(event)) for fn in self.group_fns)
+        key = tuple(_group_key_part(fn(data, rid, now)) for fn in self.group_fns)
         states = per_window.get(key)
         if states is None:
             states = [make_state(agg) for agg in self.spec.aggregation.aggregates]
             per_window[key] = states
         for state, arg_fn in zip(states, self.agg_arg_fns):
-            state.update(arg_fn(event))
+            state.update(arg_fn(data, rid, now))
 
     def drain_partials(self, cutoff_window: float) -> list[PartialAggregate]:
         """Extract partials for windows strictly below *cutoff_window*."""
@@ -225,28 +213,26 @@ class _InstalledQuery:
 
 
 class _RouteGroup:
-    """Everything ``log()`` needs for one event type: the armed queries
-    (bit order matches the processor's mask) and the fused processor."""
+    """One event type's armed queries.  A group with a governor or a
+    host aggregation is walked by ``_log_routed`` (*process* is its
+    generated selection + sampling mask, bit order matching *entries*);
+    any other group is served whole by a generated entry and has no
+    *process*."""
 
-    __slots__ = ("entries", "process", "governors", "calls", "mixed")
+    __slots__ = ("entries", "process", "governors", "calls")
 
     def __init__(
         self,
         entries: tuple[_InstalledQuery, ...],
-        process: Callable[[dict, int, float], int],
+        process: Optional[Callable[[dict, int, float], int]],
         governors: tuple[QueryGovernor, ...],
         calls: int,
-        mixed: bool,
     ) -> None:
         self.entries = entries
         self.process = process
         self.governors = governors
         #: log() calls routed to this event type; survives rebuilds.
         self.calls = calls
-        #: True when ``process`` returns ``n | mask << 32`` because some
-        #: entries (governed/aggregating, or the closure fallback) need
-        #: the agent's reference walk; all-fused groups return bare ``n``.
-        self.mixed = mixed
 
 
 class ScrubAgent:
@@ -263,7 +249,6 @@ class ScrubAgent:
         validate_payloads: bool = False,
         max_queries: Optional[int] = None,
         impact_budget: Optional[ImpactBudget] = None,
-        use_codegen: bool = True,
         timing_sample_every: Optional[int] = None,
     ) -> None:
         self.host = host
@@ -277,9 +262,6 @@ class ScrubAgent:
         self.max_queries = max_queries
         #: Per-query impact budget; ``None`` disables the governor.
         self.impact_budget = impact_budget
-        #: False forces the closure-compiler dispatch path; the bench
-        #: differential pins it byte-identical to the codegen path.
-        self._use_codegen = use_codegen
         self._timing_every = (
             timing_sample_every if timing_sample_every is not None else TIMING_SAMPLE_EVERY
         )
@@ -294,14 +276,14 @@ class ScrubAgent:
         self._flush_batch_size = flush_batch_size
         self._queries: dict[str, list[_InstalledQuery]] = {}  # query_id -> per-type
         self._by_type: dict[str, list[_InstalledQuery]] = {}  # event_type -> queries
-        #: The routing index: event type -> fused dispatcher + entries.
+        #: The routing index: event type -> its armed queries.
         #: Replaced wholesale (never mutated) under the lock, so the
         #: unlocked fast-path read in ``log()`` sees a consistent group.
         self._routes: dict[str, _RouteGroup] = {}
         #: event type -> the armed entry ``log()`` actually calls: the
-        #: generated whole-path function for all-fused ungoverned
-        #: groups, else a partial bound to ``_log_routed``.  Rebuilt in
-        #: lock-step with ``_routes``.
+        #: generated whole-path function, or — for a group with a
+        #: governor or a host aggregation — a partial bound to
+        #: ``_log_routed``.  Rebuilt in lock-step with ``_routes``.
         self._armed: dict[str, Callable[..., int]] = {}
         self._governors: dict[str, QueryGovernor] = {}
         #: query_id -> applied sampling-rate version (0 = install-time
@@ -355,6 +337,7 @@ class ScrubAgent:
             keep_all = set(spec.projection) >= set(schema.field_names)
             installed = _InstalledQuery(
                 spec,
+                self.host,
                 keep_all_fields=keep_all,
                 activates_at=activates_at if activates_at is not None else -math.inf,
                 expires_at=expires_at if expires_at is not None else math.inf,
@@ -362,20 +345,23 @@ class ScrubAgent:
             prior = self._routes.get(spec.event_type)
             installed.routed_base = prior.calls if prior is not None else 0
             installed.logged_base = self.stats.events_logged
-            self._queries.setdefault(spec.query_id, []).append(installed)
-            self._by_type.setdefault(spec.event_type, []).append(installed)
-            if (
-                self.impact_budget is not None
-                and spec.query_id not in self._governors
-            ):
-                self._governors[spec.query_id] = QueryGovernor(
+            installed.governor = self._governors.get(spec.query_id)
+            if installed.governor is None and self.impact_budget is not None:
+                installed.governor = QueryGovernor(
                     self.impact_budget, spec.query_id, self.clock()
                 )
-            installed.governor = self._governors.get(spec.query_id)
-            installed.fast_ship = (
-                installed.governor is None and installed.group_fns is None
+            # Generate before touching any table: an expression the
+            # emitter refuses (CodegenUnsupported) leaves nothing armed.
+            per_type = self._by_type.get(spec.event_type, [])
+            group, entry = self._build_group(
+                spec.event_type, (*per_type, installed), installed.routed_base
             )
-            self._rebuild_routes()
+            self._queries.setdefault(spec.query_id, []).append(installed)
+            self._by_type[spec.event_type] = [*per_type, installed]
+            if installed.governor is not None:
+                self._governors[spec.query_id] = installed.governor
+            self._routes = {**self._routes, spec.event_type: group}
+            self._armed = {**self._armed, spec.event_type: entry}
 
     def uninstall(self, query_id: str) -> bool:
         """Remove every host query object for *query_id*; flushes first so
@@ -510,12 +496,12 @@ class ScrubAgent:
     # -- the routing index -------------------------------------------------------
 
     def _rebuild_routes(self) -> None:
-        """Regenerate the per-event-type dispatchers from ``_by_type``.
+        """Regenerate the per-event-type entries from ``_by_type``.
 
-        Called under the lock on every query-table mutation (install,
-        uninstall, quarantine, expiry) — the rare path pays codegen so
-        the per-event path stays straight-line.  Route-group call
-        counters carry over so routed/skipped accounting survives."""
+        Called under the lock on every query-table mutation (uninstall,
+        retune, quarantine, expiry) — the rare path pays codegen so the
+        per-event path stays straight-line.  Route-group call counters
+        carry over so routed/skipped accounting survives."""
         old = self._routes
         routes: dict[str, _RouteGroup] = {}
         armed: dict[str, Callable[..., int]] = {}
@@ -523,14 +509,8 @@ class ScrubAgent:
             if not iqs:
                 continue
             prior = old.get(event_type)
-            group, entry = self._build_group(
+            routes[event_type], armed[event_type] = self._build_group(
                 event_type, tuple(iqs), prior.calls if prior is not None else 0
-            )
-            routes[event_type] = group
-            armed[event_type] = (
-                entry
-                if entry is not None
-                else partial(self._log_routed, group, event_type)
             )
         self._routes = routes
         self._armed = armed
@@ -540,104 +520,54 @@ class ScrubAgent:
         event_type: str,
         entries: tuple[_InstalledQuery, ...],
         calls: int,
-    ) -> tuple[_RouteGroup, Optional[Callable[..., int]]]:
+    ) -> tuple[_RouteGroup, Callable[..., int]]:
+        """One event type's route group and the armed entry ``log()``
+        calls for it.  Which of the two routes it gets is decided by what
+        the group holds, never by an option: a governor or a host
+        aggregation needs the agent's walk; everything else runs as one
+        generated function."""
         governors: list[QueryGovernor] = []
         for iq in entries:
             gov = iq.governor
             if gov is not None and gov not in governors:
                 governors.append(gov)
-        process = None
-        mixed = True
-        if self._use_codegen:
-            armed = tuple(
-                ArmedQuery(
-                    predicate=iq.spec.predicate,
-                    sampler_seed=iq.sampler._seed,
-                    sampler_threshold=iq.sampler._threshold,
-                    sample_always=iq.sample_always,
-                    activates_at=iq.activates_at,
-                    expires_at=iq.expires_at,
-                    fused=iq.fast_ship,
-                    iq=iq if iq.fast_ship else None,
-                    qstats=iq.stats if iq.fast_ship else None,
-                    window_seconds=iq.window_seconds,
-                    project=iq.project_fields,
-                )
-                for iq in entries
+        armed = tuple(
+            ArmedQuery(
+                predicate=iq.spec.predicate,
+                sampler_seed=iq.sampler._seed,
+                sampler_threshold=iq.sampler._threshold,
+                sample_always=iq.sample_always,
+                activates_at=iq.activates_at,
+                expires_at=iq.expires_at,
+                iq=iq,
+                qstats=iq.stats,
+                window_seconds=iq.window_seconds,
+                project=iq.project_fields,
             )
-            try:
-                process = build_processor(
-                    armed,
-                    event_type=event_type,
-                    host=self.host,
-                    stats=self.stats,
-                    buffer=self._buffer,
-                    flush_batch_size=self._flush_batch_size,
-                )
-                mixed = any(not a.fused for a in armed)
-            except CodegenUnsupported:
-                process = None
-        if process is None:
-            process = self._closure_process(event_type, entries)
-            mixed = True
-        group = _RouteGroup(entries, process, tuple(governors), calls, mixed)
-        entry: Optional[Callable[..., int]] = None
-        if not mixed and not governors:
-            # All-fused and ungoverned (mixed is only ever False when
-            # codegen succeeded): generate the whole armed entry —
-            # clock, normalization, lock, timing sample and the fused
-            # body in one function, no ``_log_routed`` frame.
-            try:
-                entry = build_entry(
-                    armed,
-                    event_type=event_type,
-                    host=self.host,
-                    stats=self.stats,
-                    buffer=self._buffer,
-                    flush_batch_size=self._flush_batch_size,
-                    group=group,
-                    clock=self.clock,
-                    lock_acquire=self._lock_acquire,
-                    lock_release=self._lock_release,
-                    flush=self.flush,
-                    timing_every=self._timing_every,
-                    ewma_alpha=_EWMA_ALPHA,
-                    registry_get=(
-                        self.registry.get if self.validate_payloads else None
-                    ),
-                )
-            except CodegenUnsupported:
-                entry = None
+            for iq in entries
+        )
+        if governors or any(iq.group_fns is not None for iq in entries):
+            process = build_processor(armed, host=self.host, stats=self.stats)
+            group = _RouteGroup(entries, process, tuple(governors), calls)
+            return group, partial(self._log_routed, group, event_type)
+        group = _RouteGroup(entries, None, (), calls)
+        entry = build_entry(
+            armed,
+            event_type=event_type,
+            host=self.host,
+            stats=self.stats,
+            buffer=self._buffer,
+            flush_batch_size=self._flush_batch_size,
+            group=group,
+            clock=self.clock,
+            lock_acquire=self._lock_acquire,
+            lock_release=self._lock_release,
+            flush=self.flush,
+            timing_every=self._timing_every,
+            ewma_alpha=_EWMA_ALPHA,
+            registry_get=self.registry.get if self.validate_payloads else None,
+        )
         return group, entry
-
-    def _closure_process(
-        self, event_type: str, entries: tuple[_InstalledQuery, ...]
-    ) -> Callable[[dict, int, float], int]:
-        """Reference processor on the closure compiler: same return
-        contract as mixed generated code (count 0, every entry in the
-        mask — the agent's walk does all processing), used when codegen
-        is disabled or bails out.  The differential suite pins the two
-        paths byte-identical."""
-        host = self.host
-        stats = self.stats
-        n_entries = len(entries)
-
-        def process(data: dict, rid: int, now: float) -> int:
-            stats.events_checked += n_entries
-            mask = 0
-            event: Optional[Event] = None
-            for i, iq in enumerate(entries):
-                if not (iq.activates_at <= now < iq.expires_at):
-                    continue
-                if event is None:
-                    event = _rebuild_event(event_type, dict(data), rid, now, host)
-                if iq.predicate(event):
-                    mask |= 1 << (2 * i)
-                    if iq.sample_always or iq.sampler.keep(rid):
-                        mask |= 1 << (2 * i + 1)
-            return mask << 32
-
-        return process
 
     # -- the hot path ------------------------------------------------------------
 
@@ -655,10 +585,10 @@ class ScrubAgent:
         With no active query on *event_type* this returns after one dict
         lookup — the fast path whose cost the overhead experiments
         measure (kept to a minimal frame on purpose: the armed path
-        lives behind the ``_armed`` entry — generated code for all-fused
-        ungoverned groups, ``_log_routed`` otherwise — so the disabled
-        probe never pays for its locals).  Field values may be given as
-        a mapping, as keyword arguments, or both (kwargs win).
+        lives behind the ``_armed`` entry — generated code, or
+        ``_log_routed`` for a governed or host-aggregating group — so
+        the disabled probe never pays for its locals).  Field values may
+        be given as a mapping, as keyword arguments, or both (kwargs win).
         """
         self.stats.events_logged += 1
         entry = self._armed.get(event_type)
@@ -675,8 +605,12 @@ class ScrubAgent:
         timestamp: Optional[float],
         fields: dict[str, Any],
     ) -> int:
-        """The armed half of ``log()``: at least one query is routed to
-        this event type."""
+        """The governed walk — the armed half of ``log()`` for an event
+        type with a governor or a host aggregation on it: generated code
+        decides selection and sampling for every entry at once (the
+        mask), and this walk does what a match then needs — governor
+        rolls and charges, shedding, pre-aggregation, thinning, the
+        buffer offer."""
         stats = self.stats
         stats.events_examined += 1
         now = timestamp if timestamp is not None else self.clock()
@@ -695,11 +629,12 @@ class ScrubAgent:
         # behaviour: log() iterated an unlocked watcher-list snapshot);
         # a racing uninstall's events land in flush's leftover path.
         # Only a quarantine triggered *in this call* re-reads routes.
-        flush_due = False
         self._lock_acquire()
         try:
             governors = group.governors
             if governors:
+                # Governors come from the agent-wide budget, so whatever a
+                # quarantine leaves of this group is still governed.
                 requarantined = False
                 for gov in governors:
                     reason = gov.roll(now)
@@ -717,61 +652,72 @@ class ScrubAgent:
             timed = group.calls % self._timing_every == 0
             if timed:
                 t0 = _perf()
-                r = group.process(data, request_id, now)
+                m = group.process(data, request_id, now)
                 dispatch_dt = _perf() - t0
-                proc: Optional[dict[int, float]] = None
+                proc: dict[int, float] = {}
             else:
-                r = group.process(data, request_id, now)
-            if group.mixed:
-                matched = r & COUNT_MASK
-                m = r >> 32
-                if m:
-                    entries = group.entries
-                    idx = 0
-                    while m:
-                        if m & 1:
-                            if timed:
-                                tq = _perf()
-                            iq = entries[idx]
-                            matched += 1
-                            stats.events_matched += 1
-                            qstats = iq.stats
-                            qstats.seen += 1
-                            window = int(now // iq.window_seconds)
-                            key = (event_type, window)
-                            sbw = iq.seen_by_window
-                            sbw[key] = sbw.get(key, 0) + 1
-                            self._slow_match(
-                                iq, qstats, data, event_type, request_id, now,
-                                window, bool(m & 2),
-                            )
-                            if timed:
-                                if proc is None:
-                                    proc = {}
-                                proc[idx] = _perf() - tq
-                        m >>= 2
-                        idx += 1
-                flush_due = (
-                    len(self._buffer._items) >= self._flush_batch_size
-                )
-            else:
-                matched = r
-                if matched > COUNT_MASK:
-                    matched &= COUNT_MASK
-                    flush_due = True
+                m = group.process(data, request_id, now)
+            matched = 0
+            entries = group.entries
+            buffer = self._buffer
+            idx = 0
+            while m:
+                if m & 1:
+                    if timed:
+                        tq = _perf()
+                    iq = entries[idx]
+                    matched += 1
+                    qstats = iq.stats
+                    qstats.seen += 1
+                    window = int(now // iq.window_seconds)
+                    key = (event_type, window)
+                    sbw = iq.seen_by_window
+                    sbw[key] = sbw.get(key, 0) + 1
+                    gov = iq.governor
+                    if gov is not None and gov.shedding:
+                        # Drop-with-count: the event still counted toward
+                        # M_i (COUNT stays exact); no preaggregate, no ship.
+                        qstats.shed += 1
+                        iq.pending_shed += 1
+                        stats.events_shed += 1
+                        gov.note_shed()
+                    elif iq.group_fns is not None:
+                        iq.preaggregate(data, request_id, now, window)
+                        stats.events_preaggregated += 1
+                    elif m & 2 and (gov is None or gov.keep(request_id)):
+                        # Bit 2 is the event sampler's verdict; gov.keep is
+                        # downgrade-stage thinning — an honest random
+                        # subsample (keyed on request id), so the
+                        # estimator's event-stage variance absorbs it.
+                        project = iq.project_fields
+                        if project is None:
+                            shipped = dict(data)
+                        else:
+                            shipped = {k: data[k] for k in project if k in data}
+                        if buffer.offer_unlocked((iq, shipped, request_id, now)):
+                            qstats.shipped += 1
+                            stats.events_shipped += 1
+                        else:
+                            qstats.dropped += 1
+                            iq.pending_dropped += 1
+                            stats.events_dropped += 1
+                            if gov is not None:
+                                gov.note_drop()
+                    if timed:
+                        proc[idx] = _perf() - tq
+                m >>= 2
+                idx += 1
+            stats.events_matched += matched
+            flush_due = len(buffer._items) >= self._flush_batch_size
             if timed:
                 # Charge sampled wall time scaled by N (unbiased per
-                # interval) and refresh each query's armed-cost EWMA.
-                # Fused processing happens inside group.process, so its
-                # cost lands in the evenly-split dispatch share.
+                # interval) and refresh each query's armed-cost EWMA:
+                # an even share of the generated mask plus the query's
+                # own match processing.
                 scale = float(self._timing_every)
-                entries = group.entries
-                n_entries = len(entries)
-                share = dispatch_dt / n_entries if n_entries else 0.0
+                share = dispatch_dt / len(entries)
                 for i, iq in enumerate(entries):
-                    cost = share
-                    if proc is not None:
-                        cost += proc.get(i, 0.0)
+                    cost = share + proc.get(i, 0.0)
                     gov = iq.governor
                     if gov is not None:
                         gov.charge(cost * scale)
@@ -787,54 +733,6 @@ class ScrubAgent:
         if flush_due:
             self.flush(now)
         return matched
-
-    def _slow_match(
-        self,
-        iq: _InstalledQuery,
-        qstats: QueryStats,
-        data: dict,
-        event_type: str,
-        request_id: int,
-        now: float,
-        window: int,
-        keep: bool,
-    ) -> None:
-        """Matched-event processing for every entry generated code did
-        not fuse: governed or aggregating queries, and plain shipping on
-        the closure fallback.  Caller holds the lock and has already done
-        seen accounting."""
-        stats = self.stats
-        gov = iq.governor
-        if gov is not None and gov.shedding:
-            # Drop-with-count: the event still counted toward M_i
-            # (COUNT stays exact); no preaggregate, no ship.
-            qstats.shed += 1
-            iq.pending_shed += 1
-            stats.events_shed += 1
-            gov.note_shed()
-        elif iq.group_fns is not None:
-            event = _rebuild_event(event_type, dict(data), request_id, now, self.host)
-            iq.preaggregate(event, window)
-            stats.events_preaggregated += 1
-        elif keep and (gov is None or gov.keep(request_id)):
-            # The keep flag is the event sampler's verdict; gov.keep is
-            # downgrade-stage thinning — an honest random subsample
-            # (keyed on request id), so the estimator's event-stage
-            # variance absorbs it.
-            project = iq.project_fields
-            if project is None:
-                payload = dict(data)
-            else:
-                payload = {k: data[k] for k in project if k in data}
-            if self._buffer.offer_unlocked((iq, payload, request_id, now)):
-                qstats.shipped += 1
-                stats.events_shipped += 1
-            else:
-                qstats.dropped += 1
-                iq.pending_dropped += 1
-                stats.events_dropped += 1
-                if gov is not None:
-                    gov.note_drop()
 
     def log_object(self, obj: Any, *, request_id: int, timestamp: Optional[float] = None) -> int:
         """``log()`` for instances of ``@scrub_type`` classes (paper Fig. 1)."""

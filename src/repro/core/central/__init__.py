@@ -2,7 +2,7 @@
 
 from .aggregates import AggregateState, make_state
 from .engine import DEFAULT_GRACE_SECONDS, CentralEngine, CentralStats
-from .groupby import GroupByProcessor, WindowGroups, make_field_getter
+from .groupby import GroupByProcessor, WindowGroups
 from .join import JoinBuffer, JoinedRow
 from .pool import ShardPool
 from .results import ResultRow, ResultSet, WindowResult
@@ -34,6 +34,5 @@ __all__ = [
     "WindowGroups",
     "WindowResult",
     "WindowTracker",
-    "make_field_getter",
     "make_state",
 ]

@@ -31,16 +31,18 @@ from ..approx.sampling_theory import (
 )
 from ..agent.transport import EventBatch, decode_full_batch, decode_full_batch_rows
 from ..query.ast import AggregateCall
-from ..query.compile import compile_expr
+from ..query.codegen import wire_rows
 from ..query.errors import QueryNotFoundError, ScrubExecutionError
 from ..query.planner import CentralQueryObject
-from .groupby import Accessors, GroupByProcessor, WindowGroups, make_row_getter
+from .groupby import Accessors, GroupByProcessor, WindowGroups
 from .join import JoinBuffer
 from .results import ResultRow, ResultSet, WindowCoverage, WindowResult
 from .aggregates import make_state
 from .window import SlidingWindowAssigner, TumblingWindowAssigner, WindowTracker
 
 __all__ = ["CentralEngine", "CentralStats", "DEFAULT_GRACE_SECONDS"]
+
+_timestamp_of = attrgetter("timestamp")
 
 #: How long past a window's end the engine waits before closing it, to
 #: absorb host flush delays.  Tuned to the agents' flush cadence.
@@ -152,15 +154,14 @@ class _RunningQuery:
         self._row_accessors: dict[tuple[str, ...], Accessors] = {}
 
     def row_accessors(self, names: tuple[str, ...]) -> Accessors:
-        """The query's closures compiled over wire rows laid out as
+        """The query's accessors compiled over wire rows laid out as
         *names*, cached per layout (a query sees one per event type)."""
         accessors = self._row_accessors.get(names)
         if accessors is None:
             if len(self._row_accessors) >= 8:  # a peer inventing layouts
                 self._row_accessors.clear()
-            getter = make_row_getter(names)
             accessors = self._row_accessors[names] = self.processor.compile_accessors(
-                lambda expr: compile_expr(expr, getter)
+                wire_rows(names)
             )
         return accessors
 
@@ -284,6 +285,15 @@ class CentralEngine:
             # The query ended while the batch was in flight; drop silently —
             # this is the expected race, not an error.
             return
+        if not math.isfinite(sum(map(_timestamp_of, batch.events))):
+            # No window can hold inf/nan: refuse the batch whole, before
+            # any bookkeeping, as both wire doors do at the codec.
+            for index, event in enumerate(batch.events):
+                if not math.isfinite(event.timestamp):
+                    raise ValueError(
+                        f"corrupt event batch: non-finite timestamp "
+                        f"{event.timestamp!r} at event {index}"
+                    )
         stats = self.stats
         stats.batches_received += 1
         stats.events_received += len(batch.events)
@@ -433,7 +443,7 @@ class CentralEngine:
         tracker = rq.tracker
         segments: dict[int, list] = {}
         assigner = tracker.assigner
-        timestamps = timestamps or map(attrgetter("timestamp"), events)
+        timestamps = timestamps or map(_timestamp_of, events)
         if type(assigner) is TumblingWindowAssigner:
             length = assigner.length
             closed_upto = tracker._closed_upto

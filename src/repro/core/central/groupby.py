@@ -14,103 +14,31 @@ identical aggregate calls share one state.
 
 from __future__ import annotations
 
-from functools import lru_cache
-from operator import itemgetter
 from typing import Any, Callable, NamedTuple, Optional
 
-from ..events import HOST, Event
-from ..events.encoding import fixed_row_slots
-from ..query.ast import (
-    AggregateCall,
-    Between,
-    BinaryOp,
-    BoolOp,
-    Comparison,
-    Expr,
-    FieldRef,
-    InList,
-    IsNull,
-    Literal,
-    UnaryOp,
-    normalize_expr,
-    unparse,
-    walk_exprs,
+from ..events import HOST
+from ..query.ast import AggregateCall, FieldRef, walk_exprs
+from ..query.codegen import (
+    RowShape,
+    compile_expr,
+    compile_predicate,
+    compile_select,
+    event_rows,
+    output_rows,
 )
-from ..query.compile import FieldGetter, compile_expr, like_to_regex
-from ..query.errors import ScrubExecutionError
 from ..query.planner import CentralQueryObject, unique_aggregates
 from .aggregates import AggregateState, make_state
 from .results import ResultRow
 
-__all__ = [
-    "GroupByProcessor",
-    "WindowGroups",
-    "make_field_getter",
-    "make_row_getter",
-    "compile_cached",
-]
+__all__ = ["GroupByProcessor", "WindowGroups"]
 
 #: Sentinel passed to COUNT(*) states: always non-NULL, so every row counts.
 _COUNT_STAR = object()
 
 
-def make_field_getter(sources: tuple[str, ...]) -> FieldGetter:
-    """Field access over central rows.
-
-    Single-source queries pass events directly (no per-event dict); join
-    queries pass ``{event_type: Event}`` rows.
-    """
-    if len(sources) == 1:
-        def single(_event_type: Optional[str], field: str) -> Callable[[Event], Any]:
-            return lambda event: event.get(field)
-        return single
-
-    def joined(event_type: Optional[str], field: str) -> Callable[[dict[str, Event]], Any]:
-        if event_type is None:  # pragma: no cover - validator resolves all refs
-            raise ScrubExecutionError(f"unresolved field reference {field!r} in join")
-        return lambda row: row[event_type].get(field)
-
-    return joined
-
-
-def make_row_getter(names: tuple[str, ...]) -> FieldGetter:
-    """Field access over wire rows — the tuples of
-    :func:`~repro.core.events.encoding.decode_fixed_rows` — for a
-    single-source query: a slot lookup in C, NULL for an absent field."""
-    slots = fixed_row_slots(names)
-
-    def getter(_event_type: Optional[str], field: str) -> Callable[[tuple], Any]:
-        slot = slots.get(field)
-        return (lambda row: None) if slot is None else itemgetter(slot)
-
-    return getter
-
-
-@lru_cache(maxsize=512)
-def _compile_normalized(expr: Expr, sources: tuple[str, ...]) -> Callable[[Any], Any]:
-    return compile_expr(expr, make_field_getter(sources))
-
-
-def compile_cached(expr: Expr, sources: tuple[str, ...]) -> Callable[[Any], Any]:
-    """Compile *expr* for rows of *sources*, caching by normalized AST.
-
-    Re-installed queries (reconnect re-installs, shard workers compiling
-    the same spec, repeated shell sessions) hit the cache instead of
-    re-walking the AST; normalization makes structurally different but
-    semantically identical predicates share one closure.  Compiled
-    closures are stateless, so sharing across queries is safe.
-    """
-    try:
-        return _compile_normalized(normalize_expr(expr), sources)
-    except TypeError:
-        # An unhashable literal (not produced by the parser, but the AST
-        # is public API) — compile without caching.
-        return compile_expr(expr, make_field_getter(sources))
-
-
 class Accessors(NamedTuple):
-    """A query's row-reading closures, compiled for one row
-    representation (Events and joined rows, or wire-row tuples)."""
+    """A query's row-reading functions, compiled for one row shape
+    (Events and joined rows, or wire-row tuples)."""
 
     residual: Optional[Callable[[Any], bool]]  # None: every row passes
     group_fns: list[Callable[[Any], Any]]
@@ -123,8 +51,6 @@ class GroupByProcessor:
 
     def __init__(self, spec: CentralQueryObject) -> None:
         self.spec = spec
-        sources = spec.sources
-        self.group_exprs: tuple[Expr, ...] = spec.group_by
 
         # Unique aggregate calls across SELECT and HAVING (structural
         # dedup); the shared helper fixes the order host partials are
@@ -132,14 +58,25 @@ class GroupByProcessor:
         self.agg_calls: tuple[AggregateCall, ...] = unique_aggregates(
             spec.select_items, spec.having
         )
-        #: Post-aggregation group filter; evaluated per group at finalize.
-        self.having: Optional[Expr] = spec.having
         #: COUNT(*) never inspects its rows — the batched path can bump
         #: the counter by the group size instead of feeding sentinels.
         self._count_star = [agg.arg is None and agg.func == "COUNT" for agg in self.agg_calls]
 
         self.is_aggregating = bool(self.agg_calls) or bool(spec.group_by)
-        self.accessors = self.compile_accessors(lambda e: compile_cached(e, sources))
+        self.accessors = self.compile_accessors(event_rows(spec.sources))
+        #: ``(key, aggs) -> SELECT tuple``, or None for a group HAVING
+        #: rejects: SQL keeps a group only when the predicate is
+        #: definitely true (3VL, same rule as WHERE), evaluated over the
+        #: scaled/overridden values the row would show.
+        self.output = (
+            compile_select(
+                [item.expr for item in spec.select_items],
+                output_rows(spec.group_by, self.agg_calls),
+                where=spec.having,
+            )
+            if self.is_aggregating
+            else None
+        )
         #: Wire rows carry no per-row host (docs/SCALING.md §"Fixed-layout
         #: row ingest"); a query that reads it stays on the Event path.
         exprs = [*spec.group_by, *(item.expr for item in spec.select_items)]
@@ -148,22 +85,22 @@ class GroupByProcessor:
             isinstance(n, FieldRef) and n.field == HOST for e in exprs for n in walk_exprs(e)
         )
 
-    def compile_accessors(self, compile_fn: Callable[[Expr], Callable]) -> Accessors:
+    def compile_accessors(self, shape: RowShape) -> Accessors:
         """Compile the residual / group-by / aggregate-argument / select
-        closures with *compile_fn*, which fixes the row representation."""
+        functions for rows of *shape*."""
         spec = self.spec
-        residual = None
-        if spec.residual_predicate is not None:
-            inner = compile_fn(spec.residual_predicate)
-            residual = lambda row: inner(row) is True
         return Accessors(
-            residual,
-            [compile_fn(g) for g in spec.group_by],
+            None
+            if spec.residual_predicate is None
+            else compile_predicate(spec.residual_predicate, shape),
+            [compile_expr(g, shape) for g in spec.group_by],
             [
-                (lambda _row: _COUNT_STAR) if agg.arg is None else compile_fn(agg.arg)
+                (lambda _row: _COUNT_STAR) if agg.arg is None else compile_expr(agg.arg, shape)
                 for agg in self.agg_calls
             ],
-            [] if self.is_aggregating else [compile_fn(i.expr) for i in spec.select_items],
+            []
+            if self.is_aggregating
+            else [compile_expr(i.expr, shape) for i in spec.select_items],
         )
 
     def make_window_state(self) -> "WindowGroups":
@@ -210,7 +147,7 @@ class WindowGroups:
         segmentation, and aggregate dispatch per *batch* instead of per
         event.  The returned list (rows that passed the residual) feeds
         the engine's per-host estimator accumulation.  *accessors* are
-        the closures that read *rows*: the processor's own for Events,
+        the functions that read *rows*: the processor's own for Events,
         an ``itemgetter`` set from the same compiler for wire rows.
         """
         p = self._p
@@ -296,26 +233,19 @@ class WindowGroups:
         p = self._p
         if not p.is_aggregating:
             return self.raw_rows
+        overrides = [
+            (i, agg_overrides[agg])
+            for i, agg in enumerate(p.agg_calls)
+            if agg_overrides and agg in agg_overrides
+        ]
         rows: list[ResultRow] = []
         for key, states in sorted(self.groups.items(), key=_sort_key):
-            group_values = dict(zip(p.group_exprs, key))
-            agg_values = {
-                agg: state.scaled_result(scale_factor)
-                for agg, state in zip(p.agg_calls, states)
-            }
-            if agg_overrides:
-                agg_values.update(agg_overrides)
-            if p.having is not None:
-                # SQL HAVING: keep the group only when the predicate is
-                # definitely true (3VL, same rule as WHERE).  Evaluated
-                # over the scaled/overridden values the row would show.
-                if _eval_output(p.having, group_values, agg_values) is not True:
-                    continue
-            values = tuple(
-                _eval_output(item.expr, group_values, agg_values)
-                for item in p.spec.select_items
-            )
-            rows.append(ResultRow(values))
+            aggs = [state.scaled_result(scale_factor) for state in states]
+            for i, value in overrides:
+                aggs[i] = value
+            values = p.output(key, aggs)
+            if values is not None:
+                rows.append(ResultRow(values))
         return rows
 
 
@@ -334,113 +264,3 @@ def _sort_key(item: tuple[tuple[Any, ...], Any]) -> tuple:
         (0, "") if part is None else (1, part) if isinstance(part, (int, float, bool)) else (2, str(part))
         for part in key
     )
-
-
-def _eval_output(
-    expr: Expr,
-    group_values: dict[Expr, Any],
-    agg_values: dict[AggregateCall, Any],
-) -> Any:
-    """Evaluate a SELECT or HAVING expression after aggregation.
-
-    Group-by expressions and aggregate calls are leaves here; everything
-    else is literals, arithmetic, and (for HAVING) predicates over them
-    — with the same three-valued-logic semantics the row-level compiler
-    gives WHERE (``compile.py``), so ``HAVING COUNT(*) > n`` filters
-    exactly like the equivalent post-hoc filter over the output rows.
-    """
-    if expr in group_values:
-        return group_values[expr]
-    if isinstance(expr, AggregateCall):
-        return agg_values[expr]
-    if isinstance(expr, Literal):
-        return expr.value
-    if isinstance(expr, BinaryOp):
-        left = _eval_output(expr.left, group_values, agg_values)
-        right = _eval_output(expr.right, group_values, agg_values)
-        if left is None or right is None:
-            return None
-        if expr.op == "+":
-            return left + right
-        if expr.op == "-":
-            return left - right
-        if expr.op == "*":
-            return left * right
-        if expr.op == "/":
-            return left / right if right != 0 else None
-        if expr.op == "%":
-            return left % right if right != 0 else None
-        raise ScrubExecutionError(f"bad arithmetic op {expr.op!r}")
-    if isinstance(expr, UnaryOp):
-        value = _eval_output(expr.operand, group_values, agg_values)
-        if value is None:
-            return None
-        return -value if expr.op == "-" else (not value)
-    if isinstance(expr, Comparison):
-        left = _eval_output(expr.left, group_values, agg_values)
-        right = _eval_output(expr.right, group_values, agg_values)
-        if left is None or right is None:
-            return None
-        try:
-            if expr.op == "LIKE":
-                return like_to_regex(right).fullmatch(str(left)) is not None
-            return _COMPARATORS[expr.op](left, right)
-        except TypeError:
-            return None
-    if isinstance(expr, InList):
-        value = _eval_output(expr.expr, group_values, agg_values)
-        if value is None:
-            return None
-        members = [v.value for v in expr.values]
-        try:
-            hit = value in [m for m in members if m is not None]
-        except TypeError:
-            return None
-        if not hit and None in members:
-            return None  # SQL: x IN (..., NULL) is UNKNOWN when no match
-        return (not hit) if expr.negated else hit
-    if isinstance(expr, Between):
-        value = _eval_output(expr.expr, group_values, agg_values)
-        low = _eval_output(expr.low, group_values, agg_values)
-        high = _eval_output(expr.high, group_values, agg_values)
-        if value is None or low is None or high is None:
-            return None
-        try:
-            hit = low <= value <= high
-        except TypeError:
-            return None
-        return (not hit) if expr.negated else hit
-    if isinstance(expr, IsNull):
-        value = _eval_output(expr.expr, group_values, agg_values)
-        return (value is not None) if expr.negated else (value is None)
-    if isinstance(expr, BoolOp):
-        unknown = False
-        if expr.op == "AND":
-            for term in expr.terms:
-                result = _eval_output(term, group_values, agg_values)
-                if result is False:
-                    return False
-                if result is None:
-                    unknown = True
-            return None if unknown else True
-        for term in expr.terms:
-            result = _eval_output(term, group_values, agg_values)
-            if result is True:
-                return True
-            if result is None:
-                unknown = True
-        return None if unknown else False
-    raise ScrubExecutionError(
-        f"cannot evaluate {unparse(expr)} after aggregation; "
-        "it is neither a group key nor an aggregate"
-    )
-
-
-_COMPARATORS = {
-    "=": lambda a, b: a == b,
-    "!=": lambda a, b: a != b,
-    "<": lambda a, b: a < b,
-    "<=": lambda a, b: a <= b,
-    ">": lambda a, b: a > b,
-    ">=": lambda a, b: a >= b,
-}

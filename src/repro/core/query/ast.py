@@ -35,6 +35,7 @@ __all__ = [
     "TargetCISpec",
     "Query",
     "AGGREGATE_FUNCS",
+    "child_exprs",
     "normalize_expr",
     "unparse",
     "walk_exprs",
@@ -295,28 +296,30 @@ class Query:
 # -- traversal -----------------------------------------------------------------
 
 
+def child_exprs(node: Expr) -> tuple[Expr, ...]:
+    """The expressions directly beneath *node*, in evaluation order."""
+    if isinstance(node, (BinaryOp, Comparison)):
+        return (node.left, node.right)
+    if isinstance(node, UnaryOp):
+        return (node.operand,)
+    if isinstance(node, BoolOp):
+        return node.terms
+    if isinstance(node, InList):
+        return (node.expr, *node.values)
+    if isinstance(node, Between):
+        return (node.expr, node.low, node.high)
+    if isinstance(node, IsNull):
+        return (node.expr,)
+    if isinstance(node, AggregateCall) and node.arg is not None:
+        return (node.arg,)
+    return ()
+
+
 def walk_exprs(node: Expr) -> Iterator[Expr]:
     """Yield *node* and every expression beneath it, pre-order."""
     yield node
-    if isinstance(node, (BinaryOp, Comparison)):
-        yield from walk_exprs(node.left)
-        yield from walk_exprs(node.right)
-    elif isinstance(node, UnaryOp):
-        yield from walk_exprs(node.operand)
-    elif isinstance(node, BoolOp):
-        for term in node.terms:
-            yield from walk_exprs(term)
-    elif isinstance(node, InList):
-        yield from walk_exprs(node.expr)
-        yield from node.values
-    elif isinstance(node, Between):
-        yield from walk_exprs(node.expr)
-        yield from walk_exprs(node.low)
-        yield from walk_exprs(node.high)
-    elif isinstance(node, IsNull):
-        yield from walk_exprs(node.expr)
-    elif isinstance(node, AggregateCall) and node.arg is not None:
-        yield from walk_exprs(node.arg)
+    for child in child_exprs(node):
+        yield from walk_exprs(child)
 
 
 def normalize_expr(node: Expr) -> Expr:

@@ -49,11 +49,24 @@ from .ast import (
     TargetCISpec,
     TargetNode,
     UnaryOp,
+    child_exprs,
 )
 from .errors import ScrubSyntaxError
 from .lexer import Token, TokenType, parse_duration, tokenize
 
-__all__ = ["parse_query", "parse_expression"]
+__all__ = ["parse_query", "parse_expression", "MAX_EXPR_DEPTH"]
+
+#: Deepest an expression may nest, counted two ways that both stop here:
+#: syntactically (parentheses, NOT, unary sign and function calls each
+#: open a level) and as the depth of the resulting AST (every operator
+#: is a level, so an unparenthesised ``a + b + c`` is three deep).  Every
+#: recursive walk over an admitted expression — this parser's descent
+#: (nine frames per level), the validator, the unparser, the code
+#: generator — then stays far inside the interpreter's recursion limit,
+#: and generated code stays inside CPython's 100-level indentation limit:
+#: its worst case is an AND/OR alternation, one level per nesting, under
+#: the host entry's four levels and around a comparison's two.
+MAX_EXPR_DEPTH = 64
 
 
 def parse_query(text: str) -> Query:
@@ -73,6 +86,7 @@ class _Parser:
     def __init__(self, tokens: list[Token]) -> None:
         self._tokens = tokens
         self._pos = 0
+        self._nesting = 0
 
     # -- token helpers ------------------------------------------------------
 
@@ -400,7 +414,30 @@ class _Parser:
         return exprs
 
     def _expression(self) -> Expr:
-        return self._or_expr()
+        start = self._cur
+        self._descend()
+        expr = self._or_expr()
+        self._nesting -= 1
+        if not self._nesting:
+            # Operator chains deepen the tree without nesting the text.
+            level, depth = [expr], 1
+            while level:
+                if depth > MAX_EXPR_DEPTH:
+                    raise self._too_deep(start)
+                level = [child for node in level for child in child_exprs(node)]
+                depth += 1
+        return expr
+
+    def _descend(self) -> None:
+        self._nesting += 1
+        if self._nesting > MAX_EXPR_DEPTH:
+            raise self._too_deep(self._cur)
+
+    @staticmethod
+    def _too_deep(tok: Token) -> ScrubSyntaxError:
+        return ScrubSyntaxError(
+            f"expression nests deeper than {MAX_EXPR_DEPTH} levels", tok.line, tok.column
+        )
 
     def _or_expr(self) -> Expr:
         terms = [self._and_expr()]
@@ -420,7 +457,10 @@ class _Parser:
 
     def _not_expr(self) -> Expr:
         if self._accept_keyword("not"):
-            return UnaryOp("NOT", self._not_expr())
+            self._descend()
+            operand = self._not_expr()
+            self._nesting -= 1
+            return UnaryOp("NOT", operand)
         return self._predicate()
 
     def _predicate(self) -> Expr:
@@ -490,11 +530,13 @@ class _Parser:
                 return left
 
     def _unary(self) -> Expr:
-        if self._accept(TokenType.OP, "-"):
-            return UnaryOp("-", self._unary())
-        if self._accept(TokenType.OP, "+"):
-            return self._unary()
-        return self._primary()
+        sign = self._accept(TokenType.OP, "-") or self._accept(TokenType.OP, "+")
+        if sign is None:
+            return self._primary()
+        self._descend()
+        operand = self._unary()
+        self._nesting -= 1
+        return UnaryOp("-", operand) if sign.value == "-" else operand
 
     def _primary(self) -> Expr:
         tok = self._cur

@@ -1,10 +1,11 @@
-"""Compilation of query expressions into Python closures.
+"""The closure compiler: the differential oracle for ``query/codegen.py``.
 
-Both the host agent (selection predicates over single events) and
-ScrubCentral (scalar expressions over joined rows) evaluate the same
-expression language; this module compiles an AST once into nested
-closures so the per-event hot path does no AST dispatch — the cost that
-matters for the host-impact goal.
+Production evaluates the query language with generated code only; this
+module states the same semantics a second, independent way — an AST
+compiled once into nested closures, one small Python function per node,
+over whatever row a caller-supplied ``FieldGetter`` knows how to read —
+so the Hypothesis suites can hold the generated code to it (and to a
+tree-walking interpreter) on values and on which inputs raise.
 
 Semantics follow SQL three-valued logic: a missing field is NULL,
 comparisons and arithmetic involving NULL yield NULL (``None``), AND/OR
@@ -15,11 +16,9 @@ running query.
 
 from __future__ import annotations
 
-import re
-from functools import lru_cache
 from typing import Any, Callable, Optional
 
-from .ast import (
+from repro.core.query.ast import (
     AggregateCall,
     Between,
     BinaryOp,
@@ -32,9 +31,10 @@ from .ast import (
     Literal,
     UnaryOp,
 )
-from .errors import ScrubValidationError
+from repro.core.query.codegen import like_to_regex
+from repro.core.query.errors import ScrubValidationError
 
-__all__ = ["compile_expr", "compile_predicate", "FieldGetter", "like_to_regex"]
+__all__ = ["compile_expr", "compile_predicate", "FieldGetter"]
 
 #: Builds a value accessor for one resolved field reference.  Given the
 #: (event_type, field) pair, returns a closure mapping a *row* (whatever
@@ -250,17 +250,3 @@ def _compile_or(terms: list[Callable[[Any], Any]]) -> Callable[[Any], Any]:
         return None if unknown else False
 
     return disj
-
-
-@lru_cache(maxsize=512)
-def like_to_regex(pattern: str) -> "re.Pattern[str]":
-    """Translate a SQL LIKE pattern (%, _) into a compiled regex."""
-    out: list[str] = []
-    for ch in pattern:
-        if ch == "%":
-            out.append(".*")
-        elif ch == "_":
-            out.append(".")
-        else:
-            out.append(re.escape(ch))
-    return re.compile("".join(out), re.DOTALL)

@@ -5,12 +5,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.events import Event
-from repro.core.query.compile import compile_expr, compile_predicate, like_to_regex
+from repro.core.query.codegen import (
+    CodegenUnsupported,
+    compile_expr,
+    compile_predicate,
+    event_rows,
+    like_to_regex,
+)
 from repro.core.query.parser import parse_expression
 
-
-def _getter(_event_type, field):
-    return lambda event: event.get(field)
+_EVENTS = event_rows(("t",))
 
 
 def ev(**payload):
@@ -18,11 +22,11 @@ def ev(**payload):
 
 
 def eval_expr(text, event):
-    return compile_expr(parse_expression(text), _getter)(event)
+    return compile_expr(parse_expression(text), _EVENTS)(event)
 
 
 def check(text, event):
-    return compile_predicate(parse_expression(text), _getter)(event)
+    return compile_predicate(parse_expression(text), _EVENTS)(event)
 
 
 class TestComparisons:
@@ -78,7 +82,7 @@ class TestBooleanLogic:
         assert check("not x = 1", e) is False  # NOT UNKNOWN is still not TRUE
 
     def test_empty_predicate_accepts_all(self):
-        assert compile_predicate(None, _getter)(ev()) is True
+        assert compile_predicate(None, _EVENTS)(ev()) is True
 
 
 class TestInBetweenNull:
@@ -163,10 +167,8 @@ class TestArithmetic:
 
 class TestAggregateCompileRejected:
     def test_aggregate_cannot_compile_per_row(self):
-        from repro.core.query.errors import ScrubValidationError
-
-        with pytest.raises(ScrubValidationError, match="aggregate"):
-            compile_expr(parse_expression("COUNT(*)"), _getter)
+        with pytest.raises(CodegenUnsupported, match="aggregate"):
+            compile_expr(parse_expression("COUNT(*)"), _EVENTS)
 
 
 # -- property: predicate evaluation matches Python semantics on known fields -----

@@ -2,14 +2,15 @@
 
 Two independent invariants:
 
-* **Evaluator agreement** — ``groupby._eval_output`` (the post-
-  aggregation evaluator HAVING runs through) must implement exactly the
-  SQL three-valued logic the row-level paths implement.  We reuse the
+* **Evaluator agreement** — the post-aggregation function HAVING runs
+  through (``codegen.output_rows``) must implement exactly the SQL
+  three-valued logic the row-level paths implement.  We reuse the
   expression/row strategies of ``test_compile_properties`` and check it
-  four-way against the reference interpreter, the closure compiler and
-  the codegen backend, with aggregate-free expressions whose field
-  leaves are bound via the group-values map (which is precisely how a
-  grouped HAVING sees its GROUP BY keys).
+  three-way against the reference interpreter and the closure oracle,
+  with aggregate-free expressions whose field leaves are GROUP BY keys
+  (which is precisely how a grouped HAVING sees them).
+  ``test_compile_properties`` adds aggregate results and computed group
+  keys as leaves.
 * **Round-trips** — queries carrying HAVING clauses, sliding windows
   and QUANTILE aggregates survive parse → unparse → parse unchanged.
 """
@@ -19,12 +20,12 @@ from __future__ import annotations
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.central.groupby import _eval_output
 from repro.core.query import parse_query, unparse
 from repro.core.query.ast import FieldRef
-from repro.core.query.codegen import compile_row_expr
-from repro.core.query.compile import compile_expr
+from repro.core.query.codegen import compile_expr as generate_expr
+from repro.core.query.codegen import output_rows
 
+from .closure_oracle import compile_expr
 from .test_compile_properties import (
     FIELDS,
     _getter,
@@ -38,12 +39,13 @@ from .test_compile_properties import (
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(expr=expressions, row=rows)
 def test_having_evaluator_matches_row_paths(expr, row):
-    """Four-way: _eval_output == interpreter == closures == codegen."""
-    group_values = {FieldRef(None, name): row.get(name) for name in FIELDS}
+    """Three-way: interpreter == closure oracle == generated, with every
+    field a group key."""
+    shape = output_rows([FieldRef(None, name) for name in FIELDS], ())
+    key = tuple(row.get(name) for name in FIELDS)
     reference = _outcome(lambda: evaluate(expr, row))
-    assert _outcome(lambda: _eval_output(expr, group_values, {})) == reference
     assert _outcome(lambda: compile_expr(expr, _getter)(row)) == reference
-    assert _outcome(lambda: compile_row_expr(expr)(row)) == reference
+    assert _outcome(lambda: generate_expr(expr, shape)(key, [])) == reference
 
 
 # -- grammar round-trips -------------------------------------------------------

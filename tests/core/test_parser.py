@@ -18,6 +18,7 @@ from repro.core.query import (
     parse_expression,
     parse_query,
 )
+from repro.core.query.parser import MAX_EXPR_DEPTH
 
 
 class TestPaperQueries:
@@ -253,3 +254,56 @@ class TestHostNameLexing:
     def test_quoted_host_names_still_work(self):
         q = parse_query("select COUNT(*) from bid @[Servers in ('a-b', 'c.d')];")
         assert q.target == ServersIn(("a-b", "c.d"))
+
+
+class TestNestingLimit:
+    """One constant bounds how deep an expression may nest — the written
+    query (parentheses, NOT, signs, calls) and the tree it parses to
+    (every operator).  Past it: a syntax error naming the limit and the
+    place, where there used to be a RecursionError."""
+
+    D = MAX_EXPR_DEPTH
+
+    #: text(levels) nests exactly *levels* deep.
+    SHAPES = {
+        "parentheses": lambda n: "(" * (n - 1) + "a" + ")" * (n - 1),
+        "not": lambda n: "not " * (n - 1) + "a",
+        "unary_minus": lambda n: "- " * (n - 1) + "a",
+        "unary_plus": lambda n: "+ " * (n - 1) + "a",
+        "sum": lambda n: " + ".join(["a"] * n),
+        "product": lambda n: " * ".join(["a"] * n),
+        "aggregate_argument": lambda n: "SUM(" + "(" * (n - 2) + "a" + ")" * (n - 2) + ")",
+        "and_or": lambda n: "a" + "".join(
+            f" {'and' if k % 2 else 'or'} (b" for k in range(n - 1)
+        ) + ")" * (n - 1),
+    }
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_at_the_limit_parses_one_past_is_a_syntax_error(self, shape):
+        text = self.SHAPES[shape]
+        parse_expression(text(self.D))
+        with pytest.raises(ScrubSyntaxError, match=f"nests deeper than {self.D} levels") as info:
+            parse_expression(text(self.D + 1))
+        assert info.value.line == 1 and info.value.column >= 1
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_far_past_the_limit_is_the_same_error(self, shape):
+        """5 000 levels would overflow the interpreter's stack long
+        before the parser returned."""
+        with pytest.raises(ScrubSyntaxError, match="nests deeper"):
+            parse_expression(self.SHAPES[shape](5_000))
+
+    def test_every_clause_of_a_query_is_bounded(self):
+        deep = self.SHAPES["parentheses"](self.D + 1)
+        for text in (
+            f"select {deep} from bid;",
+            f"select COUNT(*) from bid where {deep} = 1;",
+            f"select COUNT(*) from bid group by {deep};",
+            f"select COUNT(*) from bid having {deep} > 1;",
+        ):
+            with pytest.raises(ScrubSyntaxError, match="nests deeper"):
+                parse_query(text)
+
+    def test_width_is_not_depth(self):
+        wide = " and ".join(f"a = {i}" for i in range(2_000))
+        assert len(parse_expression(wide).terms) == 2_000

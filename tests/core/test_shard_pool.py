@@ -287,17 +287,26 @@ def _assert_refused_whole(engine, deliver, bad: Event, error, match: str) -> Non
     assert window.late_events == 0
 
 
+@pytest.mark.parametrize("door", ["ingest_frame", "ingest"])
 @pytest.mark.parametrize("stamp", [float("inf"), float("nan")], ids=["inf", "nan"])
 @pytest.mark.parametrize("workers", [0, 2], ids=["serial", "pool2"])
-def test_non_finite_timestamp_rejects_the_batch_before_any_booking(workers, stamp):
+def test_non_finite_timestamp_rejects_the_batch_before_any_booking(workers, stamp, door):
     """`inf // length` is nan and `int(nan)` raises — which used to happen
     *after* the batch's seen counts (M_i), drops and stats were booked and
     the good event's window opened, losing the good event while counting
-    it.  The codec now refuses the frame, so nothing of it is ingested."""
+    it.  The codec refuses the frame, and the serial object door checks
+    the batch's timestamps first, so nothing of it is ingested."""
     engine = ShardPool(workers=workers, grace_seconds=1.0) if workers else CentralEngine(1.0)
+
+    def deliver(batch):
+        if door == "ingest":
+            engine.ingest(batch)
+        else:
+            engine.ingest_frame(encode_full_batch(batch))
+
     try:
         _assert_refused_whole(
-            engine, lambda batch: engine.ingest_frame(encode_full_batch(batch)),
+            engine, deliver,
             Event("bid", _PAYLOAD, 2, stamp, "h1"), ValueError, "non-finite timestamp",
         )
     finally:

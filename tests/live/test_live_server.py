@@ -132,6 +132,25 @@ class TestRejections:
         with pytest.raises(ScrubError):
             ctl.submit("select COUNT(*) from nosuch duration 600s;")
 
+    @pytest.mark.parametrize(
+        "deep",
+        ["(" * 200 + "pv.latency_ms" + ")" * 200, "not " * 2_000 + "pv.latency_ms > 1"],
+        ids=["parentheses", "not"],
+    )
+    def test_over_deep_query_is_a_syntax_error_and_the_connection_kept(self, harness, ctl, deep):
+        """Used to escape the parser as a RecursionError and reach the
+        submitter as ``internal``."""
+        agent = _agent(harness, "web-0")
+        try:
+            with pytest.raises(ScrubError, match="ScrubSyntaxError.*nests deeper than 64 levels"):
+                ctl.submit(f"select COUNT(*) from pv where {deep} duration 600s;")
+            # Same connection, next request: served.
+            handle = ctl.submit(QUERY)
+            assert handle["targeted_hosts"] == ["web-0"]
+            ctl.finish(handle["query_id"])
+        finally:
+            agent.close()
+
     def test_newer_epoch_takes_over_stale_registration(self, harness):
         # A restarted process re-registers with a fresh (newer) epoch and
         # must take the name over; the stale session stands down instead
