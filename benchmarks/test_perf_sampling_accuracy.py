@@ -68,7 +68,9 @@ def run_grid():
                 estimate, bound = est.estimate, est.error_bound
             rel_error = abs(estimate - truth) / truth
             rel_bound = bound / truth if math.isfinite(bound) else float("inf")
-            in_ci = estimate - bound <= truth <= estimate + bound
+            # One ulp of slack: the exact (unsampled) sum is a float sum
+            # whose order follows host placement, not the truth's loop.
+            in_ci = abs(estimate - truth) <= bound + 1e-9 * abs(truth)
             bytes_shipped = sum(h.stats.bytes_shipped for h in hosts)
             rows.append([
                 f"{host_rate * 100:g}%", f"{event_rate * 100:g}%",

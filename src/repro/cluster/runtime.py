@@ -104,7 +104,7 @@ class SimCluster:
             self.registry, self.directory, self.central, clock=self.loop.clock
         )
         # Expired queries are reaped only after in-flight flushes could land.
-        self.server.drain_margin = 2.0 * flush_interval + 0.5
+        self.server.plane.drain_margin = 2.0 * flush_interval + 0.5
         self._flush_interval = flush_interval
         self._buffer_capacity = buffer_capacity
         self._flush_batch_size = flush_batch_size
@@ -226,6 +226,6 @@ def run_to_completion(cluster: SimCluster, handle: QueryHandle) -> ResultSet:
     (in-flight flushes and WAN deliveries), lets the periodic tick reap
     the query, and returns the stored result set.
     """
-    margin = cluster.server.drain_margin + cluster._flush_interval + 0.5  # noqa: SLF001
+    margin = cluster.server.plane.drain_margin + cluster._flush_interval + 0.5  # noqa: SLF001
     cluster.run_until(handle.expires_at + margin)
     return cluster.server.finish(handle.query_id)

@@ -2,8 +2,8 @@
 
 A topology is the static shape of the deployment — which hosts exist,
 where they live, and which services they run.  The directory built from
-it resolves Scrub ``@[...]`` target expressions (paper Section 3.2) to
-concrete host sets.
+it describes each host for Scrub's ``@[...]`` target expressions (paper
+Section 3.2).
 """
 
 from __future__ import annotations
@@ -11,8 +11,7 @@ from __future__ import annotations
 from typing import Iterable, Iterator
 
 from ..core.agent.agent import ScrubAgent
-from ..core.query.ast import TargetNode
-from ..core.query.targets import target_matches
+from ..core.query.targets import HostDescription
 from .host import DEFAULT_COST_MODEL, CostModel, SimHost
 
 __all__ = ["Topology", "ClusterDirectory"]
@@ -100,17 +99,15 @@ class Topology:
 
 class ClusterDirectory:
     """The simulated cluster's implementation of
-    :class:`repro.core.server.HostDirectory`: resolves targets against
-    the topology and returns the hosts' live agents."""
+    :class:`repro.core.server.HostDirectory`: the topology's hosts that
+    have a live agent, described the way ``@[...]`` targeting reads them."""
 
     def __init__(self, topology: Topology) -> None:
         self._topology = topology
 
-    def resolve(self, target: TargetNode) -> list[tuple[str, ScrubAgent]]:
-        out: list[tuple[str, ScrubAgent]] = []
-        for host in self._topology:
-            if host.agent is None:
-                continue
-            if target_matches(target, host.description):
-                out.append((host.name, host.agent))
-        return out
+    def hosts(self) -> list[tuple[HostDescription, ScrubAgent]]:
+        return [
+            (host.description, host.agent)
+            for host in self._topology
+            if host.agent is not None
+        ]

@@ -695,7 +695,10 @@ class CentralEngine:
         """Multi-stage sampling estimates for a global aggregate window."""
         per_host = rq.host_acc.get(window, {})
         n = rq.targeted_hosts
-        big_n = rq.planned_hosts
+        # A host that reports is evidently part of the population, known
+        # to the query server or not (a recovered server meets its hosts
+        # again one by one; their batches do not wait for that).
+        big_n = max(rq.planned_hosts, len(per_host))
         # Hosts that reported nothing still count as sampled machines with
         # M_i = 0 — omitting them would bias every estimate upward.
         silent_hosts = max(n - len(per_host), 0)

@@ -5,8 +5,8 @@ instead of the troubleshooter guessing sampling rates, the server
 observes each window's realized error bound and retunes the rates so
 the confidence interval converges to the target at the lowest possible
 host impact.  The controller here is the decision core — engine-free
-and synchronous, like ``live.fleet.QueryRollout``, so the in-process
-query server and ``scrubd`` can both drive it from their tick loops.
+and synchronous, like ``fleet.QueryRollout``; the control plane drives
+it from its ``tick``.
 
 **Inputs** (fed by the hosting server):
 
@@ -66,15 +66,13 @@ formula):
   the loop: no retunes are issued until the inputs recover.  A frozen
   controller never flies blind.
 
-Host-set changes are asymmetric by design: the solver may recommend
-*more* hosts (the machine-stage term shrinks with n' at no extra
-per-host cost) and the hosting server may apply the widening with the
-engine's ``extend_targets`` machinery — but a host-set *shrink* is
-never applied mid-query (the engine's coverage accounting would count
-the removed hosts as missing, and the finite-population correction
-would be wrong for already-open windows).  Servers that cannot widen
-(scrubd applies event-rate retunes only) construct the controller with
-``can_widen=False`` and the solver holds n' fixed.
+The solver holds the host count n' fixed and retunes the event rate
+only.  A query's host set grows by one mechanism — the control plane's
+``_join_query``, used by late-joining agents and rollout widening, which
+keeps ``total_hosts`` / ``host_count`` here in step — and is never
+shrunk mid-query (the engine's coverage accounting would count the
+removed hosts as missing, and the finite-population correction would be
+wrong for already-open windows).
 """
 
 from __future__ import annotations
@@ -212,7 +210,6 @@ class SamplingController:
         window_seconds: float,
         event_rate: float = 1.0,
         budget: Optional[ImpactBudget] = None,
-        can_widen: bool = False,
         config: Optional[ControllerConfig] = None,
     ) -> None:
         if total_hosts < 1 or targeted_hosts < 1:
@@ -230,7 +227,6 @@ class SamplingController:
         #: The governor budget the clamp respects; reassignable mid-run
         #: (operations may tighten it while the query is live).
         self.budget = budget
-        self.can_widen = can_widen
         self.config = config if config is not None else ControllerConfig()
         #: Version of the last issued retune; 0 = install-time rates.
         self.version = 0
@@ -441,35 +437,9 @@ class SamplingController:
         """Cheapest (n', r') meeting the aim under the cap; None if the
         target is unreachable within the rates this server may apply."""
         aim = self.target.relative_error * (1.0 - self.config.deadband)
-        best: Optional[tuple[int, float]] = None
-        best_cost = math.inf
-        for n in self._host_candidates():
-            for r in self._rate_candidates(cap):
-                if self._predict(n, r) > aim:
-                    continue
-                cost = self._cost(n, r)
-                # Tie-break toward fewer hosts: a host held at full
-                # rate is cheaper operationally than two at half.
-                if cost < best_cost - 1e-12 or (
-                    best is not None
-                    and abs(cost - best_cost) <= 1e-12
-                    and n < best[0]
-                ):
-                    best = (n, r)
-                    best_cost = cost
-        return best
-
-    def _host_candidates(self) -> list[int]:
-        """n' ladder: never below the current host set (a shrink is not
-        applied mid-query), doubling up to N when widening is allowed."""
-        if not self.can_widen or self.host_count >= self.total_hosts:
-            return [self.host_count]
-        out = [self.host_count]
         n = self.host_count
-        while n < self.total_hosts:
-            n = min(n * 2, self.total_hosts)
-            out.append(n)
-        return out
+        feasible = [r for r in self._rate_candidates(cap) if self._predict(n, r) <= aim]
+        return (n, min(feasible)) if feasible else None
 
     def _rate_candidates(self, cap: float) -> list[float]:
         cfg = self.config
@@ -551,7 +521,7 @@ class SamplingController:
         degradation report when the target cannot be met."""
         target = self.target.relative_error
         achievable_pair = (
-            max(self._host_candidates()),
+            self.host_count,
             max(self._rate_candidates(cap), default=self.config.min_event_rate),
         )
         achievable = (

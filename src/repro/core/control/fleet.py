@@ -3,8 +3,8 @@
 The control plane's safety story used to end at the per-host governor:
 a query installed on every matching agent at once, and a bad probe was
 only caught host by host after the damage had started.  This module
-gives ``scrubd`` the two pieces real in-production debuggers treat as
-assumed infrastructure:
+gives the :class:`~repro.core.control.plane.ControlPlane` the two pieces
+real in-production debuggers treat as assumed infrastructure:
 
 * **Membership** (:class:`FleetManager`): every host that ever
   registered is a :class:`FleetMember` with a lifecycle —
@@ -27,9 +27,9 @@ assumed infrastructure:
   ``POLL``/``STATS`` surface.  Every state transition is journalled so
   a scrubd crash mid-rollout recovers into the same stage.
 
-The state machine itself is synchronous and engine-free so it can be
-unit-tested without sockets; ``ScrubDaemon`` drives it from the real
-clock tick and owns all I/O (INSTALL/UNINSTALL pushes, journalling).
+The state machines are synchronous and engine-free; the control plane
+drives them from its ``tick`` and returns the INSTALL/UNINSTALL pushes
+and journal records as effects for its shell to perform.
 """
 
 from __future__ import annotations
@@ -43,6 +43,7 @@ __all__ = [
     "QueryRollout",
     "RolloutAbort",
     "RolloutPolicy",
+    "Session",
     "MEMBER_LIVE",
     "MEMBER_DISCONNECTED",
     "MEMBER_STALE",
@@ -80,10 +81,10 @@ class RolloutPolicy:
     ) -> None:
         if canary_hosts < 1:
             raise ValueError(f"canary_hosts must be >= 1, got {canary_hosts}")
-        if widen_factor <= 1.0:
+        if not (widen_factor > 1.0 and math.isfinite(widen_factor)):
             raise ValueError(
-                f"widen_factor must be > 1 or the rollout never grows, "
-                f"got {widen_factor}"
+                f"widen_factor must be finite and > 1 or the rollout never "
+                f"grows, got {widen_factor}"
             )
         if bake_intervals < 1:
             raise ValueError(f"bake_intervals must be >= 1, got {bake_intervals}")
@@ -318,8 +319,33 @@ class QueryRollout:
         }
 
 
+class Session:
+    """One agent control session.  A shell creates it around its *peer*
+    (a socket writer, an in-process agent); an accepted ``AGENT_HELLO``
+    fills in the rest."""
+
+    __slots__ = ("peer", "description", "epoch", "last_seen", "query_costs")
+
+    def __init__(self, peer: Any = None) -> None:
+        self.peer = peer
+        #: ``None`` until a hello is accepted on this session.
+        self.description: Optional[Any] = None
+        #: Session epoch from the agent's hello; a reconnect carries a
+        #: larger one and takes the registration over.
+        self.epoch = 0
+        #: Time of the last frame received on the control channel.
+        self.last_seen = 0.0
+        #: Latest per-query armed-cost counters from the agent heartbeat
+        #: ({query_id: {"ewma_ns", "routed", "skipped", "rates_version"}}).
+        self.query_costs: dict[str, Any] = {}
+
+    @property
+    def host(self) -> Optional[str]:
+        return self.description.name if self.description is not None else None
+
+
 class FleetMember:
-    """One host the daemon has ever seen, across sessions."""
+    """One host the control plane has ever seen, across sessions."""
 
     __slots__ = ("name", "description", "epoch", "state", "conn", "_last_seen")
 
@@ -328,8 +354,8 @@ class FleetMember:
         self.description = description
         self.epoch = epoch
         self.state = MEMBER_LIVE
-        #: The live control connection (daemon-owned, duck-typed: has
-        #: ``last_seen`` and ``query_costs``); ``None`` once detached.
+        #: The live :class:`Session` (anything with ``last_seen`` and
+        #: ``query_costs``); ``None`` once detached.
         self.conn: Optional[Any] = None
         self._last_seen = now
 
@@ -343,17 +369,14 @@ class FleetMember:
         if self.conn is not None:
             self._last_seen = max(self._last_seen, self.conn.last_seen)
             self.conn = None
-        self._last_seen = max(self._last_seen, 0.0)
         self.state = MEMBER_DISCONNECTED
 
     def query_costs(self) -> dict[str, Any]:
-        if self.conn is not None and isinstance(self.conn.query_costs, dict):
-            return self.conn.query_costs
-        return {}
+        return self.conn.query_costs if self.conn is not None else {}
 
 
 class FleetManager:
-    """The daemon's dynamic registry: who is in the fleet right now,
+    """The control plane's dynamic registry: who is in the fleet right now,
     who has gone quiet, and who has aged out entirely."""
 
     def __init__(
@@ -425,8 +448,8 @@ class FleetManager:
         return [m for m in self._members.values() if m.conn is not None]
 
     def lease_lapsed(self, now: float) -> list[FleetMember]:
-        """Live members silent past the lease window (eviction is the
-        daemon's job — it owns the ERROR push and the socket)."""
+        """Live members silent past the lease window (the plane turns
+        each into an ``Evict`` effect)."""
         return [
             m for m in self.live() if now - m.last_seen > self.lease_seconds
         ]

@@ -15,7 +15,15 @@ from typing import Any, Iterable, Iterator, Mapping
 
 from .fields import FieldDef, FieldType
 
-__all__ = ["EventSchema", "SYSTEM_FIELDS", "REQUEST_ID", "TIMESTAMP", "HOST"]
+__all__ = [
+    "EventSchema",
+    "SYSTEM_FIELDS",
+    "REQUEST_ID",
+    "TIMESTAMP",
+    "HOST",
+    "schema_from_payload",
+    "schema_to_payload",
+]
 
 #: Name of the system field holding the unique request identifier.
 REQUEST_ID = "request_id"
@@ -154,3 +162,21 @@ class EventSchema:
                 raise KeyError(f"event {self.name!r} has no field {key!r}")
             out[key] = fdef.coerce(value)
         return out
+
+
+def schema_to_payload(schema: EventSchema) -> dict[str, Any]:
+    """The codec- and JSON-friendly form a schema takes in an agent's
+    hello and in the query journal."""
+    return {
+        "name": schema.name,
+        "fields": [[f.name, f.ftype.value] for f in schema],
+        "doc": schema.doc,
+    }
+
+
+def schema_from_payload(payload: Mapping[str, Any]) -> EventSchema:
+    return EventSchema(
+        payload["name"],
+        [(name, ftype) for name, ftype in payload["fields"]],
+        doc=payload.get("doc", ""),
+    )

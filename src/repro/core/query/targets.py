@@ -12,8 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-import random
-from typing import Callable, Iterable, Sequence, TypeVar
+from typing import Iterable, Sequence, TypeVar
 
 from .ast import (
     DatacenterEq,
@@ -28,7 +27,6 @@ from .errors import ScrubValidationError
 
 __all__ = [
     "target_matches",
-    "sample_hosts",
     "rendezvous_order",
     "rendezvous_sample",
     "HostDescription",
@@ -78,22 +76,6 @@ def target_matches(target: TargetNode, host: HostDescription) -> bool:
 T = TypeVar("T")
 
 
-def sample_hosts(hosts: Sequence[T], rate: float, seed: int) -> list[T]:
-    """Randomly select ``ceil(rate * len(hosts))`` hosts, deterministically
-    in *seed* so a query's host set is reproducible.
-
-    At least one host is chosen whenever any host matched — a query that
-    silently targeted nobody would be a troubleshooting trap.
-    """
-    if not 0.0 < rate <= 1.0:
-        raise ScrubValidationError(f"host sampling rate must be in (0, 1], got {rate}")
-    if not hosts or rate >= 1.0:
-        return list(hosts)
-    n = max(1, math.ceil(rate * len(hosts)))
-    rng = random.Random(seed)
-    return rng.sample(list(hosts), n)
-
-
 def _rendezvous_score(seed: int, name: str) -> int:
     # blake2b, not hash(): the score must be identical across processes
     # and runs regardless of PYTHONHASHSEED.
@@ -103,36 +85,32 @@ def _rendezvous_score(seed: int, name: str) -> int:
     return int.from_bytes(digest, "big")
 
 
-def rendezvous_order(
-    items: Sequence[T], seed: int, key: Callable[[T], str] = str
-) -> list[T]:
+def rendezvous_order(items: Sequence[T], seed: int) -> list[T]:
     """Rank *items* by highest-random-weight (rendezvous) hash of their
-    name under *seed*.
+    name (``str(item)``) under *seed*.
 
-    Each item's rank depends only on ``(seed, key(item))``, never on the
+    Each item's rank depends only on ``(seed, name)``, never on the
     rest of the population — so when the fleet churns, a host joining or
     leaving shifts at most its own slot: every other host keeps its
     relative position.  That is the property a dynamic registry needs to
     keep ``@[...]`` host sampling stable under membership change, where
-    :func:`sample_hosts` (a seeded shuffle of the whole population)
-    would reshuffle everyone on any change.
+    a seeded shuffle of the whole population would reshuffle everyone on
+    any change.
     """
     return sorted(
-        items,
-        key=lambda item: (_rendezvous_score(seed, key(item)), key(item)),
-        reverse=True,
+        items, key=lambda item: (_rendezvous_score(seed, str(item)), str(item)), reverse=True
     )
 
 
-def rendezvous_sample(
-    items: Sequence[T], rate: float, seed: int, key: Callable[[T], str] = str
-) -> list[T]:
-    """Select ``ceil(rate * len(items))`` items by rendezvous rank —
-    the churn-stable counterpart of :func:`sample_hosts`, with the same
-    at-least-one guarantee and rate validation."""
+def rendezvous_sample(items: Sequence[T], rate: float, seed: int) -> list[T]:
+    """Select ``ceil(rate * len(items))`` items by rendezvous rank,
+    deterministically in *seed* so a query's host set is reproducible.
+
+    At least one item is chosen whenever any is given — a query that
+    silently targeted nobody would be a troubleshooting trap."""
     if not 0.0 < rate <= 1.0:
         raise ScrubValidationError(f"host sampling rate must be in (0, 1], got {rate}")
-    ordered = rendezvous_order(items, seed, key=key)
+    ordered = rendezvous_order(items, seed)
     if not items or rate >= 1.0:
         return ordered
     return ordered[: max(1, math.ceil(rate * len(items)))]

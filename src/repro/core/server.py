@@ -1,22 +1,19 @@
-"""The Scrub query server.
+"""The in-process Scrub query server: a shell over the control plane.
 
-Execution of a query (paper Section 4, Fig. 3):
+What happens to a query (paper Section 4, Fig. 3) — parse, validate,
+plan, place the host objects on the targeted hosts and only those,
+register the central object, collect, uninstall at span end — is decided
+by :class:`~repro.core.control.plane.ControlPlane`, the same object
+``scrubd`` runs.  :class:`ScrubQueryServer` performs the effects it
+returns where the hosts are in-process :class:`ScrubAgent` objects: each
+host in the :class:`HostDirectory` is a control-plane session, and an
+``INSTALL`` / ``UNINSTALL`` is applied by the handler every kind of host
+shares (``repro.core.control.hostside``).  Nothing here can be lost in
+transit, so there is no lease, no journal and no reconciling ``SYNC``;
+the reap margin is ``server.plane.drain_margin``.
 
-1. the user submits query text;
-2. the server parses and validates it, generates a unique query id, and
-   creates the query objects;
-3. the host query object (selection + projection + sampling) is
-   installed on the hosts the target expression resolves to — and only
-   those hosts;
-4. the central query object (join, group-by, aggregation) is registered
-   at ScrubCentral;
-5. events flow host → central while the query span lasts;
-6. at span end the query is uninstalled everywhere and the result set
-   is returned.
-
-The server talks to hosts through a :class:`HostDirectory`; the
-in-process :class:`StaticDirectory` suffices for a single process, and
-``repro.cluster`` provides a simulated-cluster implementation.
+The in-process :class:`StaticDirectory` suffices for a single process,
+and ``repro.cluster`` provides a simulated-cluster implementation.
 """
 
 from __future__ import annotations
@@ -28,23 +25,22 @@ from typing import Callable, Iterable, Optional, Protocol
 from .agent.agent import ScrubAgent
 from .central.engine import CentralEngine
 from .central.results import ResultSet
-from .control import SamplingController
+from .control import ControlPlane, MsgType, Push, SamplingController, Session
+from .control.hostside import apply_control
 from .events import EventRegistry
-from .query.ast import TargetNode
-from .query.errors import QueryNotFoundError, ScrubValidationError
-from .query.parser import parse_query
-from .query.planner import QueryPlan, plan_query
-from .query.targets import HostDescription, sample_hosts, target_matches
-from .query.validator import validate_query
+from .query.planner import QueryPlan
+from .query.targets import HostDescription
 
 __all__ = ["ScrubQueryServer", "HostDirectory", "StaticDirectory", "QueryHandle"]
 
+_APPLIED = (MsgType.INSTALL, MsgType.UNINSTALL)
+
 
 class HostDirectory(Protocol):
-    """Resolution from a target expression to concrete host agents."""
+    """The hosts a query server can place query objects on."""
 
-    def resolve(self, target: TargetNode) -> list[tuple[str, ScrubAgent]]:
-        """All (host name, agent) pairs matching the target."""
+    def hosts(self) -> Iterable[tuple[HostDescription, ScrubAgent]]:
+        """Every host that currently has an agent."""
         ...  # pragma: no cover - protocol
 
 
@@ -55,32 +51,14 @@ class StaticDirectory:
         self._hosts: dict[str, tuple[HostDescription, ScrubAgent]] = {}
 
     def add_host(
-        self,
-        name: str,
-        agent: ScrubAgent,
-        services: Iterable[str] = (),
-        datacenter: str = "dc1",
+        self, name: str, agent: ScrubAgent, services: Iterable[str] = (), datacenter: str = "dc1"
     ) -> None:
         if name in self._hosts:
             raise ValueError(f"host {name!r} already in directory")
         self._hosts[name] = (HostDescription(name, services, datacenter), agent)
 
-    def resolve(self, target: TargetNode) -> list[tuple[str, ScrubAgent]]:
-        return [
-            (name, agent)
-            for name, (description, agent) in self._hosts.items()
-            if target_matches(target, description)
-        ]
-
-    @property
-    def host_names(self) -> tuple[str, ...]:
-        return tuple(self._hosts)
-
-    def agent(self, name: str) -> ScrubAgent:
-        return self._hosts[name][1]
-
-    def all_agents(self) -> list[ScrubAgent]:
-        return [agent for _description, agent in self._hosts.values()]
+    def hosts(self) -> list[tuple[HostDescription, ScrubAgent]]:
+        return list(self._hosts.values())
 
 
 @dataclass
@@ -104,251 +82,119 @@ class ScrubQueryServer:
     """Front-end: parse, validate, plan, dispatch, collect."""
 
     def __init__(
-        self,
-        registry: EventRegistry,
-        directory: HostDirectory,
-        central: CentralEngine,
+        self, registry: EventRegistry, directory: HostDirectory, central: CentralEngine,
         clock: Callable[[], float] = time.time,
     ) -> None:
         self.registry = registry
         self.directory = directory
         self.central = central
         self.clock = clock
-        #: How long past a query's span end the periodic tick waits before
-        #: reaping it — lets in-flight host flushes land at ScrubCentral.
-        #: Agents stop matching at the span end regardless.
-        self.drain_margin = 0.0
-        self._sequence = 0
-        self._running: dict[str, tuple[QueryHandle, list[ScrubAgent]]] = {}
-        # Results survive query completion so callers can collect after the
-        # periodic tick reaped an expired span.
-        self._finished: dict[str, ResultSet] = {}
-        #: Closed-loop rate controllers for running TARGET CI queries.
-        self._controllers: dict[str, SamplingController] = {}
+        self.plane = ControlPlane(registry, central)
+        self._handles: dict[str, QueryHandle] = {}
+
+    # -- the shell -------------------------------------------------------------
+
+    def _register_hosts(self, now: float) -> None:
+        """Every directory host gets a control-plane session (one added
+        mid-query late-joins like any agent)."""
+        for description, agent in self.directory.hosts():
+            if self.plane.fleet.conn(description.name) is None:
+                if self.plane.impact_budget is None:
+                    # Controllers clamp against the agents' governor budget.
+                    self.plane.impact_budget = agent.impact_budget
+                services = sorted(description.services)
+                hello = {"host": description.name, "services": services,
+                         "datacenter": description.datacenter}
+                self._perform(self.plane.hello(Session(agent), hello, now))
+
+    def _perform(self, effects: list) -> None:
+        for push in effects:
+            if isinstance(push, Push) and push.msg_type in _APPLIED:
+                apply_control(push.session.peer, self.registry, push.msg_type, push.message)
+
+    def _sessions(self, query_id: Optional[str] = None) -> list[Session]:
+        """Attached sessions of the hosts running *query_id* (or any query)."""
+        running = self.plane.running
+        lives = running.values() if query_id is None else [running[query_id]]
+        names = dict.fromkeys(name for live in lives for name in live.targeted)
+        return [s for name in names if (s := self.plane.fleet.conn(name)) is not None]
+
+    def _settle(self) -> None:
+        for query_id in self._handles.keys() - self.plane.running.keys():
+            self._handles.pop(query_id).finished = True
 
     # -- submission -------------------------------------------------------------
 
     def submit(self, query_text: str) -> QueryHandle:
         """Parse, validate, plan and dispatch a query; returns its handle."""
-        query = parse_query(query_text)
-        validated = validate_query(query, self.registry)
-        query_id = self._next_query_id()
-        plan = plan_query(validated, query_id)
-
-        resolved = self.directory.resolve(plan.target)
-        if not resolved:
-            raise ScrubValidationError(
-                "query target matches no host; check the @[...] expression"
-            )
-        chosen = sample_hosts(
-            resolved, plan.host_sampling_rate, seed=_seed_from(query_id)
-        )
-
         now = self.clock()
-        activates_at = plan.start if plan.start is not None else now
-        expires_at = activates_at + plan.duration
-
-        agents: list[ScrubAgent] = []
-        installed: list[ScrubAgent] = []
+        self._register_hosts(now)
+        *effects, reply = self.plane.submit(query_text, now)
+        placed, query_id = reply.message, reply.message["query_id"]
         try:
-            for _host, agent in chosen:
-                for host_object in plan.host_objects:
-                    agent.install(host_object, activates_at, expires_at)
-                installed.append(agent)
-                agents.append(agent)
+            self._perform(effects)
         except Exception:
-            for agent in installed:
-                agent.uninstall(query_id)
+            # No half-installed query lingers on the fleet.
+            self._perform(self.plane.finish(query_id, now, drain=False))
+            del self.plane.results[query_id]
             raise
-
-        self.central.register(
-            plan.central_object,
-            planned_hosts=len(resolved),
-            targeted_hosts=len(chosen),
-            targeted_names=tuple(host for host, _agent in chosen),
-        )
-
         handle = QueryHandle(
             query_id=query_id,
-            plan=plan,
-            planned_hosts=tuple(host for host, _agent in resolved),
-            targeted_hosts=tuple(host for host, _agent in chosen),
-            activates_at=activates_at,
-            expires_at=expires_at,
+            plan=self.plane.running[query_id].plan,
+            planned_hosts=tuple(placed["planned_hosts"]),
+            targeted_hosts=tuple(placed["targeted_hosts"]),
+            activates_at=placed["activates_at"],
+            expires_at=placed["expires_at"],
         )
-        self._running[query_id] = (handle, agents)
-        target_ci = plan.central_object.target_ci
-        if target_ci is not None:
-            # The controller's clamp respects whatever governor budget
-            # the chosen agents run under (they share one in practice).
-            budget = next(
-                (a.impact_budget for a in agents if a.impact_budget is not None),
-                None,
-            )
-            self._controllers[query_id] = SamplingController(
-                query_id,
-                target_ci,
-                total_hosts=len(resolved),
-                targeted_hosts=len(chosen),
-                window_seconds=plan.central_object.window_seconds,
-                event_rate=plan.query.sampling.event_rate,
-                budget=budget,
-                # In-process agents can be widened directly; the solver
-                # may recommend more hosts to shrink the machine term.
-                can_widen=True,
-            )
+        self._handles[query_id] = handle
         return handle
 
     def controller(self, query_id: str) -> Optional[SamplingController]:
-        """The closed-loop rate controller for a running TARGET CI query
-        (None for open-loop queries)."""
-        return self._controllers.get(query_id)
-
-    def _next_query_id(self) -> str:
-        self._sequence += 1
-        return f"q{self._sequence:05d}"
+        """The rate controller of a running TARGET CI query, else None."""
+        live = self.plane.running.get(query_id)
+        return live.controller if live is not None else None
 
     # -- collection ------------------------------------------------------------
 
     def poll(self, query_id: str) -> ResultSet:
-        """Results emitted so far (windows already closed); for a query
-        whose span already ended, the complete result set."""
-        done = self._finished.get(query_id)
-        if done is not None:
-            return done
-        self._handle(query_id)
-        results = self.central.results_so_far(query_id)
-        controller = self._controllers.get(query_id)
-        if controller is not None:
-            results.sampling = controller.status()
-        return results
+        """Windows closed so far; the complete set once the span ended."""
+        return self.plane.poll(query_id)
 
     def tick(self, now: Optional[float] = None) -> None:
-        """Periodic maintenance: flush agents of running queries and close
-        due windows.  Drive this from your scheduler or event loop."""
+        """Periodic maintenance: flush agents of running queries, close
+        due windows, retune, reap.  Drive it from your scheduler."""
         if now is None:
             now = self.clock()
-        for handle, agents in list(self._running.values()):
-            if handle.finished:
-                continue
-            for agent in agents:
-                agent.flush(now)
-        emitted = self.central.advance(now)
-        self._control_tick(emitted, now)
-        # Reap queries whose span has fully elapsed (plus drain margin).
-        for query_id, (handle, _agents) in list(self._running.items()):
-            if not handle.finished and now >= handle.expires_at + self.drain_margin:
-                self.finish(query_id)
-
-    def _control_tick(self, emitted: list, now: float) -> None:
-        """Run each TARGET CI query's controller over the windows the
-        engine just closed and the agents' live cost counters, and apply
-        any retune it issues — event rates straight into the in-process
-        samplers, host widenings through the engine's target extension."""
-        if not self._controllers:
-            return
-        for window in emitted:
-            controller = self._controllers.get(window.query_id)
-            if controller is not None:
-                controller.observe_window(window, now)
-        for query_id, controller in list(self._controllers.items()):
-            entry = self._running.get(query_id)
-            if entry is None or entry[0].finished:
-                continue
-            handle, agents = entry
-            costs: dict[str, dict] = {}
-            for host, agent in zip(handle.targeted_hosts, agents):
-                per_query = agent.query_costs().get(query_id)
-                if per_query is not None:
-                    costs[host] = per_query
-            controller.observe_costs(costs, now)
-            update = controller.tick(now)
-            if update is not None:
-                self._apply_rates(handle, agents, update)
-
-    def _apply_rates(self, handle: QueryHandle, agents: list[ScrubAgent], update) -> None:
-        """Fan one versioned rate update out to the query's agents."""
-        query_id = handle.query_id
-        if update.host_count > len(handle.targeted_hosts):
-            current = set(handle.targeted_hosts)
-            extra = [
-                (host, agent)
-                for host, agent in self.directory.resolve(handle.plan.target)
-                if host not in current
-            ]
-            need = update.host_count - len(handle.targeted_hosts)
-            added: list[str] = []
-            for host, agent in extra[:need]:
-                try:
-                    for host_object in handle.plan.host_objects:
-                        agent.install(
-                            host_object, handle.activates_at, handle.expires_at
-                        )
-                except Exception:
-                    agent.uninstall(query_id)
-                    continue
-                agents.append(agent)
-                added.append(host)
-            if added:
-                handle.targeted_hosts = handle.targeted_hosts + tuple(added)
-                # The hosts were in the original resolve, so the planned
-                # population N is unchanged — only n grows.
-                self.central.extend_targets(query_id, tuple(added), planned_delta=0)
-        for agent in agents:
-            agent.retune(query_id, update.event_rate, update.version)
+        for session in self._sessions():
+            session.peer.flush(now)
+        # No heartbeats in-process: read the cost counters of just the
+        # hosts this tick's controllers will consult.
+        for session in self.plane.cost_watch():
+            session.query_costs = session.peer.query_costs()
+        self._perform(self.plane.tick(now))
+        self._settle()
 
     def finish(self, query_id: str) -> ResultSet:
-        """End a query now: uninstall from hosts (flushing), close all of
-        its windows, and return the full result set.  Idempotent: calling
-        again after completion returns the stored results."""
-        done = self._finished.get(query_id)
-        if done is not None:
-            return done
-        handle, agents = self._running_entry(query_id)
-        for agent in agents:
-            agent.uninstall(query_id)
-        handle.finished = True
-        results = self.central.finish(query_id)
-        controller = self._controllers.pop(query_id, None)
-        if controller is not None:
-            results.sampling = controller.status()
-        del self._running[query_id]
-        self._finished[query_id] = results
-        return results
+        """End a query now: uninstall from hosts (flushing), close all its
+        windows, return the full result set.  Idempotent once finished."""
+        return self._end(query_id, drain=True)
 
     def cancel(self, query_id: str) -> None:
         """Abort a query, discarding any un-emitted windows."""
-        handle, agents = self._running_entry(query_id)
-        for agent in agents:
-            agent.uninstall(query_id)
-        handle.finished = True
-        results = self.central.finish(query_id, drain=False)
-        controller = self._controllers.pop(query_id, None)
-        if controller is not None:
-            results.sampling = controller.status()
-        self._finished[query_id] = results
-        del self._running[query_id]
+        self._end(query_id, drain=False)
+
+    def _end(self, query_id: str, drain: bool) -> ResultSet:
+        if drain and query_id in self.plane.running:
+            # Synchronous data path: uninstalling first lands every host's
+            # final flush before the windows close (over sockets the
+            # client drains, then sends FINISH).
+            for session in self._sessions(query_id):
+                session.peer.uninstall(query_id)
+        *effects, reply = self.plane.finish(query_id, self.clock(), drain=drain)
+        self._perform(effects)
+        self._settle()
+        return reply.message
 
     @property
     def running_query_ids(self) -> tuple[str, ...]:
-        return tuple(
-            query_id
-            for query_id, (handle, _agents) in self._running.items()
-            if not handle.finished
-        )
-
-    def _handle(self, query_id: str) -> QueryHandle:
-        return self._running_entry(query_id)[0]
-
-    def _running_entry(self, query_id: str) -> tuple[QueryHandle, list[ScrubAgent]]:
-        entry = self._running.get(query_id)
-        if entry is None:
-            raise QueryNotFoundError(query_id)
-        return entry
-
-
-def _seed_from(query_id: str) -> int:
-    seed = 0
-    for ch in query_id:
-        seed = seed * 131 + ord(ch)
-    return seed & 0xFFFFFFFF
+        return tuple(self.plane.running)

@@ -211,6 +211,12 @@ class ChaosProxy:
     def close(self) -> None:
         self._stopped.set()
         try:
+            # shutdown() wakes the acceptor blocked in accept(); a bare
+            # close() leaves it there until the join below times out.
+            self._listener.shutdown(socket.SHUT_RDWR)
+        except OSError:
+            pass
+        try:
             self._listener.close()
         except OSError:
             pass

@@ -3,11 +3,8 @@
 :class:`LiveAgent` is what an application process creates: a real
 ``ScrubAgent`` (same hot path, same drop-not-block buffer) whose
 batches ship over a :class:`SocketTransport`, plus a control channel on
-which ``scrubd`` pushes query installs.  Install pushes carry the query
-*text*; the agent re-plans it locally against its own registry — the
-planner is deterministic in (text, query id), so every process derives
-identical host query objects and sampling decisions without shipping
-compiled objects across the wire.
+which ``scrubd`` pushes query installs; each push is applied by the
+handler every kind of host shares (``repro.core.control.hostside``).
 
 :class:`ControlClient` is the troubleshooter side: submit a query to a
 running ``scrubd``, poll or finish it, read daemon stats.  The
@@ -26,11 +23,9 @@ from typing import Any, Callable, Iterable, Mapping, Optional
 from ..core.agent.agent import ScrubAgent
 from ..core.agent.governor import ImpactBudget
 from ..core.central.results import ResultSet
+from ..core.control.hostside import apply_control
 from ..core.events import EventRegistry, EventSchema
 from ..core.query.errors import ScrubError
-from ..core.query.parser import parse_query
-from ..core.query.planner import plan_query
-from ..core.query.validator import validate_query
 from .protocol import (
     MsgType,
     ProtocolError,
@@ -305,12 +300,8 @@ class LiveAgent:
                 if frame is None:
                     return  # scrubd went away; redial (queries expire locally)
                 msg_type, payload = frame
-                if msg_type == MsgType.INSTALL:
-                    self._install(decode_message(payload))
-                elif msg_type == MsgType.UNINSTALL:
-                    self.agent.uninstall(decode_message(payload)["query_id"])
-                elif msg_type == MsgType.SYNC:
-                    self._reconcile(decode_message(payload))
+                if msg_type in (MsgType.INSTALL, MsgType.UNINSTALL, MsgType.SYNC):
+                    self._apply(msg_type, decode_message(payload))
                 elif msg_type == MsgType.ERROR:
                     message = decode_message(payload)
                     reason = message.get("error")
@@ -360,60 +351,20 @@ class LiveAgent:
                 return sock
         return None
 
-    def _install(self, message: dict[str, Any]) -> None:
-        query_id = message.get("query_id")
-        rates = message.get("rates")
-        if query_id in self.agent.active_query_ids:
-            # Replayed on reconnect — the query is already running, but
-            # the push may carry a newer sampling-rate version than the
-            # one applied here (a retune, or a post-crash journal
-            # replay).  The agent's version compare makes stale or
-            # duplicate replays a no-op, so applying is idempotent.
-            if rates is not None:
-                self._apply_rates(query_id, rates)
-            return
+    def _apply(self, msg_type: MsgType, message: dict[str, Any]) -> None:
+        """One INSTALL / UNINSTALL / SYNC push, through the handler every
+        kind of host shares (``repro.core.control.hostside``)."""
         try:
-            query = parse_query(message["query"])
-            validated = validate_query(query, self.registry)
-            plan = plan_query(validated, message["query_id"])
-            for host_object in plan.host_objects:
-                self.agent.install(
-                    host_object, message["activates_at"], message["expires_at"]
-                )
-            self.installs_applied += 1
-            if rates is not None:
-                # A fresh install plans at the submitted rates; bring it
-                # straight to the controller's current version.
-                self._apply_rates(message["query_id"], rates)
+            if apply_control(self.agent, self.registry, msg_type, message):
+                self.installs_applied += 1
         except Exception as exc:
             # A query this host cannot plan (e.g. stale schema) must not
             # kill the control loop; the host simply contributes nothing.
             print(
-                f"scrub[{self.host}]: install of {message.get('query_id')} failed: {exc}",
+                f"scrub[{self.host}]: {msg_type.name} of "
+                f"{message.get('query_id')} failed: {exc}",
                 file=sys.stderr,
             )
-
-    def _apply_rates(self, query_id: str, rates: dict[str, Any]) -> None:
-        try:
-            self.agent.retune(
-                query_id,
-                float(rates["event_rate"]),
-                version=int(rates["version"]),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            print(
-                f"scrub[{self.host}]: rate update for {query_id} ignored: {exc}",
-                file=sys.stderr,
-            )
-
-    def _reconcile(self, message: dict[str, Any]) -> None:
-        """SYNC carries the full set of query ids that should be live
-        here; drop anything local the daemon no longer knows about (it
-        finished, or died with a journal-less scrubd)."""
-        wanted = set(message.get("query_ids", ()))
-        for query_id in self.agent.active_query_ids:
-            if query_id not in wanted:
-                self.agent.uninstall(query_id)
 
     def _heartbeat_loop(self) -> None:
         """Renew the liveness lease; scrubd expires agents it has not
@@ -486,7 +437,7 @@ class ControlClient:
         ``{"canary_hosts": N, "widen_factor": F, "bake_intervals": K,
         "max_ewma_ns": C}`` (only ``canary_hosts`` is required) — the
         daemon installs on N hosts first and widens geometrically while
-        the canaries stay healthy (see ``repro.live.fleet``).
+        the canaries stay healthy (see ``repro.core.control.fleet``).
         """
         message: dict[str, Any] = {"query": query_text}
         if rollout is not None:

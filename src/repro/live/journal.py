@@ -1,38 +1,9 @@
-"""The scrubd query journal: crash recovery for the control plane.
+"""The scrubd query journal: an append-only, fsync'd file of records.
 
-Scrub's data plane is deliberately lossy — drop, never block — but the
-*control* plane (which query spans are open, which hosts they target)
-must survive a ``scrubd`` crash, or every open troubleshooting session
-dies with the daemon.  The journal is the smallest thing that restores
-it: an append-only file of JSON records, fsync'd per append, replayed
-on ``scrubd --journal`` startup.
-
-Four record kinds:
-
-* ``schema`` — an event schema an agent announced.  Replayed first so
-  journalled query text re-validates before any agent reconnects.
-* ``submit`` — one accepted query: id, text, span, and host placement
-  (plus the rollout policy when the submit carried one).  The planner
-  is deterministic in ``(text, query_id)``, so replay re-derives the
-  identical central query object and sampling decisions.
-* ``rollout`` — one rollout state-machine transition (canary install,
-  widen, complete, abort) with the stage, rank order and installed set
-  at that point.  Last record wins on replay, so a scrubd crash
-  mid-rollout recovers into the same stage with the same hosts
-  installed — no host is installed twice, none skipped.
-* ``rates`` — one applied closed-loop sampling retune: the version and
-  the ``(host_rate, event_rate)`` pair the controller shipped.  Last
-  record wins on replay, so a scrubd killed mid-retune recovers with
-  exactly the last *journalled* rate version and replays it to the
-  fleet over the INSTALL path — agents compare versions, so hosts that
-  already applied it ignore the replay and laggards converge.
-* ``finish`` — the query's span ended and its results were collected;
-  replay treats the submit (and any rollout or rates) as closed.
-
-Events and result windows are *not* journalled — windows open at crash
-time are lost, exactly like events lost to a full buffer, and the loss
-is visible because post-recovery windows carry coverage metadata while
-pre-crash ones are simply absent.
+The record format, what each kind means and how replay folds them into
+a :class:`JournalState` live in ``repro.core.control.journal``; this
+module is only the durable medium ``scrubd --journal`` appends the
+control plane's ``Journal`` effects to, and reads back on startup.
 
 A torn final record (the crash happened mid-append) is tolerated:
 replay stops at the first undecodable line and the file is truncated
@@ -46,47 +17,13 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
 from typing import Any, Optional
 
-from ..core.events.schema import EventSchema
+from ..core.control.journal import JournalState
 
 __all__ = ["JournalState", "QueryJournal", "open_journal"]
 
 _MAGIC = {"journal": "scrub-query-journal", "version": 1}
-
-
-@dataclass
-class JournalState:
-    """Everything replay recovered from a journal file."""
-
-    #: Schemas announced before the crash, in announcement order.
-    schemas: list[EventSchema] = field(default_factory=list)
-    #: query_id -> its submit record, for submits without a finish.
-    open_queries: dict[str, dict[str, Any]] = field(default_factory=dict)
-    #: query_id -> its latest rollout transition record (open queries
-    #: only; a finish clears it).
-    rollouts: dict[str, dict[str, Any]] = field(default_factory=dict)
-    #: query_id -> its latest applied sampling-rate record (open
-    #: queries only; a finish clears it).
-    rates: dict[str, dict[str, Any]] = field(default_factory=dict)
-    #: query_ids whose spans completed before the crash.
-    finished: set[str] = field(default_factory=set)
-    #: Records that failed to decode (torn tail) — at most one unless
-    #: the file was hand-edited.
-    torn_records: int = 0
-
-    @property
-    def max_sequence(self) -> int:
-        """Highest qNNNNN sequence ever journalled, so a recovered daemon
-        never reissues a used query id."""
-        best = 0
-        for query_id in list(self.open_queries) + list(self.finished):
-            try:
-                best = max(best, int(query_id.lstrip("q")))
-            except ValueError:
-                continue
-        return best
 
 
 class QueryJournal:
@@ -103,7 +40,7 @@ class QueryJournal:
         fresh = not os.path.exists(path) or os.path.getsize(path) == 0
         self._file = open(path, "a", encoding="utf-8")
         if fresh:
-            self._append(_MAGIC)
+            self.append(_MAGIC)
 
     # -- reading -------------------------------------------------------------------
 
@@ -138,110 +75,13 @@ class QueryJournal:
                 if not isinstance(record, dict):
                     state.torn_records += 1
                     break
-                op = record.get("op")
-                if op == "schema":
-                    state.schemas.append(
-                        EventSchema(
-                            record["name"],
-                            [(name, ftype) for name, ftype in record["fields"]],
-                            doc=record.get("doc", ""),
-                        )
-                    )
-                elif op == "submit":
-                    state.open_queries[record["query_id"]] = record
-                elif op == "rollout":
-                    state.rollouts[record["query_id"]] = record
-                elif op == "rates":
-                    state.rates[record["query_id"]] = record
-                elif op == "finish":
-                    state.open_queries.pop(record["query_id"], None)
-                    state.rollouts.pop(record["query_id"], None)
-                    state.rates.pop(record["query_id"], None)
-                    state.finished.add(record["query_id"])
+                state.apply(record)
                 intact_bytes += len(raw)
         return state, intact_bytes
 
     # -- writing -------------------------------------------------------------------
 
-    def record_schema(self, schema: EventSchema) -> None:
-        self._append(
-            {
-                "op": "schema",
-                "name": schema.name,
-                "fields": [[f.name, f.ftype.value] for f in schema],
-                "doc": schema.doc,
-            }
-        )
-
-    def record_submit(
-        self,
-        query_id: str,
-        text: str,
-        activates_at: float,
-        expires_at: float,
-        planned: tuple[str, ...],
-        targeted: tuple[str, ...],
-        rollout: Optional[dict[str, Any]] = None,
-    ) -> None:
-        record: dict[str, Any] = {
-            "op": "submit",
-            "query_id": query_id,
-            "query": text,
-            "activates_at": activates_at,
-            "expires_at": expires_at,
-            "planned": list(planned),
-            "targeted": list(targeted),
-        }
-        if rollout is not None:
-            record["rollout"] = rollout
-        self._append(record)
-
-    def record_rollout(
-        self,
-        query_id: str,
-        state: str,
-        stage: int,
-        order: tuple[str, ...],
-        installed: tuple[str, ...],
-        abort: Optional[dict[str, Any]] = None,
-    ) -> None:
-        record: dict[str, Any] = {
-            "op": "rollout",
-            "query_id": query_id,
-            "state": state,
-            "stage": stage,
-            "order": list(order),
-            "installed": list(installed),
-        }
-        if abort is not None:
-            record["abort"] = abort
-        self._append(record)
-
-    def record_rates(
-        self,
-        query_id: str,
-        version: int,
-        host_rate: float,
-        event_rate: float,
-        reason: str = "",
-    ) -> None:
-        """Journal one applied sampling retune *before* it fans out to
-        the fleet, so a crash mid-push replays exactly this version."""
-        self._append(
-            {
-                "op": "rates",
-                "query_id": query_id,
-                "version": version,
-                "host_rate": host_rate,
-                "event_rate": event_rate,
-                "reason": reason,
-            }
-        )
-
-    def record_finish(self, query_id: str) -> None:
-        self._append({"op": "finish", "query_id": query_id})
-
-    def _append(self, record: dict[str, Any]) -> None:
+    def append(self, record: dict[str, Any]) -> None:
         self._file.write(json.dumps(record, separators=(",", ":")) + "\n")
         self._file.flush()
         os.fsync(self._file.fileno())

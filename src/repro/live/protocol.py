@@ -29,7 +29,6 @@ Three channel roles, distinguished by the first frame a peer sends:
 from __future__ import annotations
 
 import asyncio
-import enum
 import socket
 import struct
 from typing import Any, Optional
@@ -37,8 +36,9 @@ from typing import Any, Optional
 from ..core.agent.transport import EventBatch, encode_full_batch_into
 from ..core.approx.sampling_theory import ApproxEstimate
 from ..core.central.results import ResultRow, ResultSet, WindowCoverage, WindowResult
+from ..core.control.effects import MsgType
 from ..core.events.encoding import decode_value, encode_value
-from ..core.events.schema import EventSchema
+from ..core.events.schema import schema_from_payload, schema_to_payload
 
 __all__ = [
     "MAX_FRAME_BYTES",
@@ -66,36 +66,6 @@ _LEN = struct.Struct("<I")
 
 class ProtocolError(Exception):
     """A malformed or out-of-protocol frame."""
-
-
-class MsgType(enum.IntEnum):
-    # channel hellos
-    AGENT_HELLO = 0x01
-    DATA_HELLO = 0x02
-    HELLO_OK = 0x03
-    # data channel
-    BATCH = 0x10
-    PING = 0x11
-    PONG = 0x12
-    # central → agent pushes
-    INSTALL = 0x20
-    UNINSTALL = 0x21
-    #: After (re)registration: the full set of query ids that should be
-    #: live on this host, so the agent can reconcile (drop stale ones).
-    SYNC = 0x22
-    # agent → central liveness lease renewal (control channel)
-    HEARTBEAT = 0x23
-    # query control
-    SUBMIT = 0x30
-    SUBMIT_OK = 0x31
-    POLL = 0x32
-    FINISH = 0x33
-    RESULTS = 0x34
-    STATS = 0x35
-    STATS_OK = 0x36
-    SHUTDOWN = 0x37
-    SHUTDOWN_OK = 0x38
-    ERROR = 0x3F
 
 
 # -- framing -------------------------------------------------------------------
@@ -136,7 +106,10 @@ def encode_batch_frame(batch: EventBatch) -> bytes:
 
 
 def decode_message(payload: bytes | memoryview) -> dict[str, Any]:
-    message = decode_value(payload)
+    try:
+        message = decode_value(payload)
+    except ValueError as exc:
+        raise ProtocolError(f"corrupt control payload: {exc}") from None
     if not isinstance(message, dict):
         raise ProtocolError(f"control payload is not a map: {type(message).__name__}")
     return message
@@ -191,23 +164,7 @@ def _recv_exactly(sock: socket.socket, count: int) -> Optional[bytes]:
     return bytes(chunks)
 
 
-# -- schema and result payloads ------------------------------------------------
-
-
-def schema_to_payload(schema: EventSchema) -> dict[str, Any]:
-    return {
-        "name": schema.name,
-        "fields": [[f.name, f.ftype.value] for f in schema],
-        "doc": schema.doc,
-    }
-
-
-def schema_from_payload(payload: dict[str, Any]) -> EventSchema:
-    return EventSchema(
-        payload["name"],
-        [(name, ftype) for name, ftype in payload["fields"]],
-        doc=payload.get("doc", ""),
-    )
+# -- result payloads (schema payloads live in repro.core.events.schema) ---------
 
 
 def resultset_to_payload(results: ResultSet) -> dict[str, Any]:

@@ -153,7 +153,7 @@ class ScrubShell:
             f"  {handle.query_id}: installed on "
             f"{len(handle.targeted_hosts)} host(s), span {span:g}s — running..."
         )
-        margin = self.cluster.server.drain_margin + 2.0
+        margin = self.cluster.server.plane.drain_margin + 2.0
         self.cluster.run_until(handle.expires_at + margin)
         results = self.cluster.server.finish(handle.query_id)
         self.last_results = results

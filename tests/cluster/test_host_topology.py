@@ -5,6 +5,7 @@ import pytest
 from repro.cluster.host import CostModel, SimHost
 from repro.cluster.metrics import percentile, summarize_latencies, summarize_overhead
 from repro.cluster.topology import ClusterDirectory, Topology
+from repro.core.query.targets import target_matches
 from repro.core.agent import RecordingTransport, ScrubAgent
 from repro.core.events import EventRegistry
 from repro.core.query import parse_query, plan_query, validate_query
@@ -142,15 +143,12 @@ class TestTopology:
 
 class TestClusterDirectory:
     def test_resolves_only_hosts_with_agents(self, registry):
-        from repro.core.query.ast import TargetAll
-
         topo = Topology()
         h1 = topo.add_host("h1", "dc1", ["BidServers"])
         topo.add_host("h2", "dc1", ["BidServers"])  # no agent
         attach_agent(h1, registry)
         directory = ClusterDirectory(topo)
-        resolved = directory.resolve(TargetAll())
-        assert [name for name, _agent in resolved] == ["h1"]
+        assert [d.name for d, _agent in directory.hosts()] == ["h1"]
 
     def test_resolves_target_expression(self, registry):
         topo = Topology()
@@ -161,7 +159,10 @@ class TestClusterDirectory:
         target = parse_query(
             "select COUNT(*) from bid @[Service in BidServers and Datacenter = dc1];"
         ).target
-        assert [n for n, _a in directory.resolve(target)] == ["b1"]
+        # The directory describes each host the way @[...] targeting reads it.
+        assert [
+            d.name for d, _a in directory.hosts() if target_matches(target, d)
+        ] == ["b1"]
 
 
 class TestMetrics:

@@ -285,7 +285,7 @@ class TestExtensionInteractions:
             "select COUNT(*) from bid @[Service in S] sample hosts 50% "
             "window 10s duration 20s aggregate on hosts;"
         )
-        targeted = set(scrub.server._running[handle.query_id][0].targeted_hosts)
+        targeted = set(handle.targeted_hosts)
         assert len(targeted) == 4
         rid = 0
         for host in hosts:

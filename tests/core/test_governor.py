@@ -346,7 +346,7 @@ def test_scrubd_stats_surface_quarantines_and_pool_health():
                 shed=7, quarantined="impact-budget-exceeded: test",
             )
         )
-        stats = daemon._stats()
+        stats = daemon.plane.stats(0.0)
         assert stats["engine"]["events_shed"] == 7
         assert stats["engine"]["quarantines_reported"] == 1
         assert stats["quarantines"]["q1"]["h1"].startswith("impact-budget")

@@ -567,13 +567,13 @@ def test_scrubd_daemon_uses_pool_when_workers_requested():
     try:
         assert isinstance(daemon.engine, ShardPool)
         assert daemon.engine.workers == 2
-        assert daemon._stats()["workers"] == 2
+        assert daemon.plane.stats(0.0)["workers"] == 2
     finally:
         daemon.engine.close()
 
     serial = ScrubDaemon(port=0)
     assert not isinstance(serial.engine, ShardPool)
-    assert serial._stats()["workers"] == 0
+    assert serial.plane.stats(0.0)["workers"] == 0
 
 
 def test_sim_cluster_with_central_workers_matches_serial():

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.query import parse_query
-from repro.core.query.targets import HostDescription, sample_hosts, target_matches
+from repro.core.query.targets import HostDescription, rendezvous_sample, target_matches
 
 
 def target_of(text):
@@ -62,35 +62,35 @@ class TestMatching:
 class TestHostSampling:
     def test_full_rate_keeps_all(self):
         hosts = list(range(20))
-        assert sample_hosts(hosts, 1.0, seed=1) == hosts
+        assert sorted(rendezvous_sample(hosts, 1.0, seed=1)) == hosts
 
     def test_sample_size_is_ceiling(self):
         hosts = list(range(20))
-        assert len(sample_hosts(hosts, 0.10, seed=1)) == 2
-        assert len(sample_hosts(hosts, 0.05, seed=1)) == 1
-        assert len(sample_hosts(hosts, 0.51, seed=1)) == 11
+        assert len(rendezvous_sample(hosts, 0.10, seed=1)) == 2
+        assert len(rendezvous_sample(hosts, 0.05, seed=1)) == 1
+        assert len(rendezvous_sample(hosts, 0.51, seed=1)) == 11
 
     def test_at_least_one_host(self):
-        assert len(sample_hosts([1, 2, 3], 0.01, seed=1)) == 1
+        assert len(rendezvous_sample([1, 2, 3], 0.01, seed=1)) == 1
 
     def test_deterministic_in_seed(self):
         hosts = list(range(100))
-        assert sample_hosts(hosts, 0.2, seed=7) == sample_hosts(hosts, 0.2, seed=7)
-        assert sample_hosts(hosts, 0.2, seed=7) != sample_hosts(hosts, 0.2, seed=8)
+        assert rendezvous_sample(hosts, 0.2, seed=7) == rendezvous_sample(hosts, 0.2, seed=7)
+        assert rendezvous_sample(hosts, 0.2, seed=7) != rendezvous_sample(hosts, 0.2, seed=8)
 
     def test_subset_of_input(self):
         hosts = list(range(50))
-        chosen = sample_hosts(hosts, 0.3, seed=3)
+        chosen = rendezvous_sample(hosts, 0.3, seed=3)
         assert set(chosen) <= set(hosts)
         assert len(set(chosen)) == len(chosen)
 
     def test_empty_input(self):
-        assert sample_hosts([], 0.5, seed=1) == []
+        assert rendezvous_sample([], 0.5, seed=1) == []
 
     def test_bad_rate(self):
         from repro.core.query.errors import ScrubValidationError
 
         with pytest.raises(ScrubValidationError):
-            sample_hosts([1], 0.0, seed=1)
+            rendezvous_sample([1], 0.0, seed=1)
         with pytest.raises(ScrubValidationError):
-            sample_hosts([1], 1.5, seed=1)
+            rendezvous_sample([1], 1.5, seed=1)

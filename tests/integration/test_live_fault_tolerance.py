@@ -1,11 +1,14 @@
-"""Live mode under faults, end to end: the ISSUE's three chaos scenarios.
+"""Live mode under faults, end to end: three chaos scenarios.
 
-1. **Agent crash + restart mid-span** (through a delay-injecting chaos
-   proxy): the healthy host keeps the span alive, the gap windows are
-   flagged degraded *naming the dead host*, the restarted process takes
-   its registration over and resumes contributing, and the final counts
+1. **Agent crash + restart mid-span** (under per-frame delay chaos): the
+   healthy host keeps the span alive, the gap windows are flagged
+   degraded *naming the dead host*, the restarted process takes its
+   registration over and resumes contributing, and the final counts
    conserve exactly — every logged event is either in a window count or
-   in the host-side loss counters.
+   in the host-side loss counters.  Every one of those is a decision of
+   the control plane or arithmetic of the engine, so this scenario runs
+   on the simulator (``tests/live/sim.py``): same plane, agents and
+   engine, a virtual clock instead of six seconds of sleep.
 2. **scrubd crash + journalled restart**: a ``--journal`` daemon killed
    mid-span and restarted on the same port resumes the open span, the
    agent re-attaches automatically (no new process, no re-submit), and
@@ -28,8 +31,9 @@ from pathlib import Path
 
 import pytest
 
-from repro.live.chaos import ChaosProxy, FaultPlan
+from repro.live.chaos import ChaosProxy
 from repro.live.client import ControlClient, LiveAgent
+from tests.live.sim import ControlSim, Faults
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
@@ -75,36 +79,6 @@ def _spawn_scrubd(*extra_args: str) -> tuple[subprocess.Popen, int]:
         match = re.search(r"listening on 127\.0\.0\.1:(\d+)", line)
         if match:
             return proc, int(match.group(1))
-
-
-def _spawn_worker(port: int, host: str, count: int, rid_base: int, linger: bool):
-    args = [
-        sys.executable, "-m", "tests.integration.live_restart_worker",
-        "--port", str(port), "--host", host,
-        "--count", str(count), "--rid-base", str(rid_base),
-    ]
-    if linger:
-        args.append("--linger")
-    return subprocess.Popen(
-        args, cwd=REPO_ROOT, env=_env(),
-        stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
-    )
-
-
-def _await_logged(proc: subprocess.Popen, timeout: float = 30.0) -> int:
-    """Read worker stdout until its LOGGED line; return the count."""
-    assert proc.stdout is not None
-    deadline = time.time() + timeout
-    seen = []
-    while time.time() < deadline:
-        line = proc.stdout.readline()
-        if not line:
-            raise AssertionError(f"worker exited early:\n{''.join(seen)}")
-        seen.append(line)
-        match = re.match(r"LOGGED (\d+)", line)
-        if match:
-            return int(match.group(1))
-    raise AssertionError(f"worker never drained:\n{''.join(seen)}")
 
 
 def _stop(proc: subprocess.Popen) -> None:
@@ -171,114 +145,82 @@ class _SteadyLogger(threading.Thread):
 @pytest.mark.integration
 @pytest.mark.chaos
 def test_agent_kill_and_restart_mid_span_under_chaos():
-    daemon, port = _spawn_scrubd("--port", "0", *SCRUBD_ARGS)
-    # agent-1's traffic crosses a chaos proxy injecting per-frame delay.
-    # Delay-only on purpose: it perturbs timing without destroying
-    # frames, so the host-side loss counters remain the exact ground
-    # truth and conservation can be asserted to the event.
-    proxy = ChaosProxy(
-        ("127.0.0.1", port),
-        plan=FaultPlan(delay_range=(0.0, 0.02)),
-        seed=7,
+    # Delay-only chaos on purpose: it perturbs timing (and reorders
+    # frames) without destroying them, so the host-side loss counters
+    # remain the exact ground truth and conservation can be asserted to
+    # the event.
+    sim = ControlSim(
+        seed=7, lease_seconds=0.8, grace_seconds=1.0,
+        faults=Faults(delay=(0.0, 0.02)),
     )
-    steady = LiveAgent(
-        ("127.0.0.1", port), "agent-0", services=["Frontends"],
-        flush_batch_size=10, heartbeat_interval=0.2,
-        reconnect_backoff_base=0.05,
-    )
-    steady.define_event("pv", PV_FIELDS)
-    ctl = ControlClient(("127.0.0.1", port))
-    logger = _SteadyLogger(steady, rid_base=1_000_000)
-    victim = None
-    try:
-        steady.start()
-        victim = _spawn_worker(
-            proxy.address[1], "agent-1", count=300, rid_base=0, linger=True
-        )
-        assert _wait(lambda: len(ctl.stats()["hosts"]) == 2)
+    steady = sim.add_host("agent-0")
+    victim = sim.add_host("agent-1")
+    qid = sim.submit(QUERY)["query_id"]
+    sim.advance(0.05)  # the (delayed) INSTALL frames arrive
+    logged = 0
 
-        qid = ctl.submit(QUERY)["query_id"]
-        # Don't log before the INSTALL frame arms agent-0 — SUBMIT_OK
-        # can win that race, and a pre-arming event is unmatched (never
-        # shipped, not a "drop"), which would break exact conservation.
-        assert _wait(lambda: qid in steady.installed_query_ids)
-        logger.start()
-        count1 = _await_logged(victim)  # phase 1 fully drained
+    def live_for(seconds: float, *logging) -> None:
+        nonlocal logged
+        for step in range(round(seconds / 0.05)):
+            sim.advance(0.05)
+            for host in logging:
+                logged += host.log()
+            if step % 4 == 0:
+                for host in sim.hosts.values():
+                    host.agent.flush()
+                    host.heartbeat()
+            sim.tick()
 
-        # Crash the worker process mid-span; its phase-1 events are all
-        # accounted (it drained), but the host goes dark.
-        kill_time = time.time()
-        _stop(victim)
-        victim = None
-        assert _wait(
-            lambda: [h["host"] for h in ctl.stats()["hosts"]] == ["agent-0"]
-        )
-        time.sleep(6.0)  # several whole windows with agent-1 dark
+    live_for(3.0, steady, victim)
+    victim.agent.flush()
+    sim.advance(0.05)  # phase 1 fully drained ...
 
-        # Restart: same host name, fresh process and epoch.
-        restart_time = time.time()
-        restarted = _spawn_worker(
-            proxy.address[1], "agent-1", count=200, rid_base=10_000, linger=False
-        )
-        count2 = _await_logged(restarted)
-        out, _ = restarted.communicate(timeout=30.0)
-        assert restarted.returncode == 0, f"restarted worker failed:\n{out}"
+    # ... then the worker process crashes mid-span: the host goes dark.
+    kill_time = sim.now
+    victim.restart()
+    assert [h["host"] for h in sim.stats()["hosts"]] == ["agent-0"]
+    live_for(6.0, steady)  # several whole windows with agent-1 dark
 
-        steady_count = logger.halt()
-        assert steady.drain(15.0)
-        results = ctl.finish(qid)
+    # Restart: same host name, fresh process and epoch.
+    restart_time = sim.now
+    assert victim.connect()
+    sim.advance(0.05)
+    assert qid in victim.agent.active_query_ids  # the INSTALL was replayed
+    live_for(3.0, steady, victim)
+    for host in (steady, victim):
+        host.agent.flush()
+    sim.advance(0.05)
+    results = sim.finish(qid)
 
-        # The application never stalled, dead daemon-side host or not.
-        assert logger.max_latency < 1.0
+    # Gap windows are degraded and name the dead host.
+    gap_windows = [
+        w for w in results.windows
+        if "agent-1" in w.coverage.missing
+        and kill_time < w.window_start < restart_time
+    ]
+    assert len(gap_windows) >= 2
+    for w in gap_windows:
+        # Coverage states are read when the window *closes*: a gap
+        # window usually closes while the host is still down
+        # ("disconnected", then "stale" once the fleet ages it out at
+        # 2x the lease), but the last one can close just after the
+        # reconnect — the host is back yet contributed nothing to that
+        # window, which reads "silent".
+        assert w.coverage.missing["agent-1"] in ("disconnected", "stale", "silent")
+        assert w.coverage.reporting == ("agent-0",)
+        assert w.degraded
 
-        # Gap windows are degraded and name the dead host.
-        gap_windows = [
-            w for w in results.windows
-            if w.coverage is not None
-            and "agent-1" in w.coverage.missing
-            and kill_time < w.window_start < restart_time
-        ]
-        assert gap_windows, "no degraded window named the crashed host"
-        for w in gap_windows:
-            # Coverage states are read when the window *closes*: a gap
-            # window usually closes while the host is still down
-            # ("disconnected"/"lease-expired", then "stale" once the
-            # fleet ages it out at 2x the lease), but the last one can
-            # close just after the reconnect — the host is back yet
-            # contributed nothing to that window, which reads "silent".
-            assert w.coverage.missing["agent-1"] in (
-                "disconnected", "lease-expired", "stale", "silent"
-            )
-            assert w.coverage.reporting == ("agent-0",)
+    # The reconnected agent resumed contributing after restart.
+    assert any(
+        "agent-1" in w.coverage.reporting and w.window_start > kill_time
+        for w in results.windows
+    ), "restarted agent never contributed to a window"
 
-        # The reconnected agent resumed contributing after restart.
-        resumed = [
-            w for w in results.windows
-            if w.coverage is not None
-            and "agent-1" in w.coverage.reporting
-            and w.window_start > kill_time
-        ]
-        assert resumed, "restarted agent never contributed to a window"
-
-        # Exact conservation: every logged event is either counted in a
-        # window or sits in the loss counters the results carry —
-        # host-side drops, or arrivals past window close + grace
-        # (`late_events`, possible when proxy delay + scheduler stalls
-        # push a batch past the grace period).
-        total_logged = steady_count + count1 + count2
-        late = sum(w.late_events for w in results.windows)
-        assert (
-            _total_count(results) + results.total_host_dropped + late
-            == total_logged
-        )
-    finally:
-        logger._halt.set()
-        ctl.close()
-        steady.close()
-        if victim is not None:
-            _stop(victim)
-        proxy.close()
-        _stop(daemon)
+    # Exact conservation: every logged event is either counted in a
+    # window or sits in the loss counters the results carry.
+    late = sum(w.late_events for w in results.windows)
+    assert late == 0  # 20 ms of delay is well inside the grace period
+    assert _total_count(results) + results.total_host_dropped == logged > 300
 
 
 @pytest.mark.integration
@@ -404,18 +346,19 @@ def test_rolling_partition_bounded_latency_and_conservation():
         for logger in loggers:
             logger.start()
 
-        # Roll the partition across the fleet, twice around.
+        # Roll the partition across the fleet.  (The sweep in
+        # tests/live/test_control_sim.py rolls it many more times, on a
+        # virtual clock; this is the one pass over real sockets.)
         drops_before = [a.transport.dropped_events for a in agents]
-        for _round in range(2):
-            for index, proxy in enumerate(proxies):
-                proxy.partition()
-                time.sleep(1.2)  # > lease: the daemon notices
-                proxy.heal()
-                time.sleep(1.0)
-                # Loss counters are monotone through the churn.
-                now_dropped = agents[index].transport.dropped_events
-                assert now_dropped >= drops_before[index]
-                drops_before[index] = now_dropped
+        for index, proxy in enumerate(proxies):
+            proxy.partition()
+            time.sleep(1.0)  # > lease: the daemon notices
+            proxy.heal()
+            time.sleep(0.6)
+            # Loss counters are monotone through the churn.
+            now_dropped = agents[index].transport.dropped_events
+            assert now_dropped >= drops_before[index]
+            drops_before[index] = now_dropped
 
         # Both sides must come back: registration and data link.
         assert _wait(lambda: len(ctl.stats()["hosts"]) == 2, timeout=20.0)

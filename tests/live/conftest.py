@@ -30,7 +30,7 @@ class DaemonHarness:
             await self.daemon.start()
             self._ready.set()
             try:
-                await self.daemon._stopping.wait()
+                await self.daemon.stopped()
             finally:
                 await self.daemon.stop()
 
@@ -46,7 +46,7 @@ class DaemonHarness:
         return (self.daemon.host, self.daemon.port)
 
     def stop(self) -> None:
-        self.loop.call_soon_threadsafe(self.daemon._stopping.set)
+        self.loop.call_soon_threadsafe(self.daemon.request_stop)
         self._thread.join(timeout=5.0)
         self.loop.close()
 

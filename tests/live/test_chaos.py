@@ -95,8 +95,8 @@ class TestForwarding:
                 # only its own response (read timeout), not later ones.
                 got = 0
                 with socket.create_connection(proxy.address, timeout=2.0) as sock:
-                    sock.settimeout(0.2)
-                    for token in range(30):
+                    sock.settimeout(0.1)
+                    for token in range(20):
                         sock.sendall(
                             encode_message_frame(MsgType.PING, {"token": token})
                         )

@@ -1,23 +1,27 @@
-"""Fault tolerance at the daemon level: liveness leases, epoch takeover
-with install replay, SYNC reconciliation, push-failure accounting, and
-degraded-window coverage."""
+"""Fault tolerance: liveness leases, epoch takeover with install replay,
+SYNC reconciliation, push-failure accounting, and degraded-window
+coverage.
 
+What the control plane *decides* (when a lease lapses, what a failed
+push does to a query) is tested on the simulator with a manual clock;
+what the daemon shell and the client *do with sockets* (redial, replay,
+the one ``_push``) is tested over real TCP."""
+
+import asyncio
 import socket
 import threading
 import time
 
 import pytest
 
+from repro.core.agent.transport import EventBatch
+from repro.core.control import Session
 from repro.live.client import ControlClient, LiveAgent, LiveAgentError
-from repro.live.protocol import (
-    MsgType,
-    decode_message,
-    encode_message_frame,
-    recv_frame,
-)
-from repro.live.server import _AgentConn
+from repro.live.protocol import MsgType
+from repro.live.server import ScrubDaemon, _Peer
 
 from .conftest import DaemonHarness, wait_for
+from .sim import TARGET_QUERY, ControlSim
 
 QUERY = (
     "select pv.url, COUNT(*) from pv @[Service in Frontends] "
@@ -25,13 +29,6 @@ QUERY = (
 )
 
 PV_FIELDS = [("url", "string"), ("latency_ms", "double")]
-
-PV_SCHEMA_PAYLOAD = {
-    "name": "pv",
-    "fields": [["url", "string"], ["latency_ms", "double"]],
-    "doc": "",
-}
-
 
 @pytest.fixture
 def fast_harness():
@@ -57,41 +54,18 @@ def _agent(harness, name, **kwargs) -> LiveAgent:
     return agent
 
 
-def _raw_register(address, name, epoch=1) -> socket.socket:
-    """Register a host the hard way: a socket that will never heartbeat."""
-    sock = socket.create_connection(address, timeout=5.0)
-    sock.settimeout(5.0)
-    sock.sendall(
-        encode_message_frame(
-            MsgType.AGENT_HELLO,
-            {
-                "host": name,
-                "epoch": epoch,
-                "services": ["Frontends"],
-                "datacenter": "dc1",
-                "schemas": [PV_SCHEMA_PAYLOAD],
-            },
-        )
-    )
-    frame = recv_frame(sock)
-    assert frame is not None and frame[0] == MsgType.HELLO_OK
-    frame = recv_frame(sock)  # the post-hello reconciliation SYNC
-    assert frame is not None and frame[0] == MsgType.SYNC
-    return sock
-
-
 class TestLeases:
-    def test_heartbeats_keep_the_lease_alive(self, fast_harness, ctl):
-        agent = _agent(fast_harness, "web-0")
-        try:
-            time.sleep(3 * 0.6)  # several lease windows
-            stats = ctl.stats()
-            assert [h["host"] for h in stats["hosts"]] == ["web-0"]
-            assert stats["hosts"][0]["lease_age"] < 0.6
-            assert agent.control_reconnects == 0
-            assert agent.heartbeats_sent >= 3
-        finally:
-            agent.close()
+    def test_heartbeats_keep_the_lease_alive(self):
+        sim = ControlSim(lease_seconds=0.6)
+        host = sim.add_host("web-0")
+        for _ in range(18):  # several lease windows, a heartbeat every 0.1s
+            sim.advance(0.1)
+            host.heartbeat()
+            sim.tick()
+        stats = sim.stats()
+        assert [h["host"] for h in stats["hosts"]] == ["web-0"]
+        assert stats["hosts"][0]["lease_age"] < 0.6
+        assert host.last_error is None and host.session is not None
 
     def test_heartbeat_surfaces_query_costs(self, fast_harness, ctl):
         """Heartbeats carry the agent's per-query armed-cost counters;
@@ -117,31 +91,21 @@ class TestLeases:
         finally:
             agent.close()
 
-    def test_silent_agent_lease_expires(self, fast_harness, ctl):
-        sock = _raw_register(fast_harness.address, "raw-0")
-        try:
-            qid = ctl.submit(QUERY)["query_id"]
-            frame = recv_frame(sock)  # the INSTALL push
-            assert frame is not None and frame[0] == MsgType.INSTALL
+    def test_silent_agent_lease_expires(self):
+        sim = ControlSim(lease_seconds=0.6)
+        host = sim.add_host("raw-0")
+        qid = sim.submit(QUERY)["query_id"]
+        assert [m["query_id"] for m in host.received(MsgType.INSTALL)] == [qid]
 
-            # Never heartbeat: the daemon must expire the lease, evict the
-            # registration, and say why with a structured ERROR.
-            assert wait_for(lambda: not ctl.stats()["hosts"], timeout=5.0)
-            saw_error = None
-            while True:
-                frame = recv_frame(sock)
-                if frame is None:
-                    break
-                if frame[0] == MsgType.ERROR:
-                    saw_error = decode_message(frame[1])
-                    break
-            assert saw_error is not None
-            assert saw_error["error"] == "lease-expired"
-
-            delivery = ctl.stats()["queries"][qid]["delivery"]
-            assert delivery["raw-0"] == "lease-expired"
-        finally:
-            sock.close()
+        # Never heartbeat: the plane must expire the lease, evict the
+        # registration, and say why with a structured ERROR.
+        sim.run(0.5)
+        assert [h["host"] for h in sim.stats()["hosts"]] == ["raw-0"]
+        sim.run(0.25)
+        assert sim.stats()["hosts"] == []
+        assert host.last_error["error"] == "lease-expired"
+        assert host.session is None  # ... and closed the channel
+        assert sim.stats()["queries"][qid]["delivery"]["raw-0"] == "lease-expired"
 
 
 class TestReconnect:
@@ -217,19 +181,21 @@ class TestReconnect:
             agent.close()
 
 
+def _break_writer(harness, host: str, exc: Exception) -> None:
+    """Make every write on *host*'s control socket raise *exc*, the way a
+    dead asyncio transport does."""
+
+    def boom(_data):
+        raise exc
+
+    harness.daemon.plane.fleet.conn(host).peer.writer.write = boom
+
+
 class TestPushFailures:
-    def test_failed_install_push_is_counted_not_fatal(
-        self, fast_harness, ctl, monkeypatch
-    ):
+    def test_failed_install_push_is_counted_not_fatal(self, fast_harness, ctl):
         agent = _agent(fast_harness, "web-0", reconnect=False)
         try:
-            # Registration used the real push; now every push blows up the
-            # way a dead asyncio transport does.
-            async def boom(self, msg_type, message):
-                raise RuntimeError("injected: transport is closed")
-
-            monkeypatch.setattr(_AgentConn, "push", boom)
-
+            _break_writer(fast_harness, "web-0", RuntimeError("injected: transport is closed"))
             handle = ctl.submit(QUERY)
             assert handle["install_failures"] == ["web-0"]
             stats = ctl.stats()
@@ -246,34 +212,190 @@ class TestPushFailures:
     def test_sync_push_failure_on_reconnect_keeps_handler_alive(
         self, fast_harness, ctl, monkeypatch
     ):
-        # An install replay that dies with RuntimeError (asyncio's "the
-        # transport is closed") must fall through to the normal read
-        # loop, not escape the handler and strand the registration.
+        # An install replay that cannot be written must not escape the
+        # connection handler and strand the registration: the failure is
+        # counted, the delivery gap recorded, the dead session evicted —
+        # and the host re-registers as soon as pushes work again.
         agent = _agent(fast_harness, "web-0")
         try:
             qid = ctl.submit(QUERY)["query_id"]
             assert wait_for(lambda: qid in agent.installed_query_ids)
 
-            async def boom(self, msg_type, message):
-                raise RuntimeError("injected: transport is closed")
+            real_push = ScrubDaemon._push
 
-            monkeypatch.setattr(_AgentConn, "push", boom)
+            async def no_installs(self, peer, msg_type, message, timeout=None):
+                if msg_type == MsgType.INSTALL:
+                    return False
+                return await real_push(self, peer, msg_type, message, timeout)
+
+            monkeypatch.setattr(ScrubDaemon, "_push", no_installs)
             agent._control.shutdown(socket.SHUT_RDWR)  # force re-register
 
+            assert wait_for(lambda: ctl.stats()["push_failures"] >= 1, timeout=5.0)
+            assert ctl.stats()["queries"][qid]["delivery"]["web-0"] == "unreachable"
+
+            monkeypatch.setattr(ScrubDaemon, "_push", real_push)
             assert wait_for(
-                lambda: ctl.stats()["push_failures"] >= 1, timeout=5.0
+                lambda: ctl.stats()["queries"][qid]["delivery"]["web-0"] == "connected",
+                timeout=5.0,
             )
-            # The handler survived the failed replay: its read loop keeps
-            # renewing the lease from heartbeats well past the window,
-            # and the delivery gap is recorded on the query.
-            time.sleep(3 * 0.6)
-            stats = ctl.stats()
-            assert [h["host"] for h in stats["hosts"]] == ["web-0"]
-            assert stats["queries"][qid]["delivery"]["web-0"] == "unreachable"
+            assert [h["host"] for h in ctl.stats()["hosts"]] == ["web-0"]
+            assert qid in agent.installed_query_ids
         finally:
             agent.close()
-        # Disconnect cleanup still runs for the failed session.
+        # Disconnect cleanup still runs for the last session.
         assert wait_for(lambda: not ctl.stats()["hosts"])
+
+    def test_finish_cannot_lose_a_query(self, fast_harness, ctl):
+        """FINISH completes in the plane before any UNINSTALL is tried, so
+        a push that raises — here the RuntimeError of a closed asyncio
+        transport — cannot strand the query between running and finished
+        or leak its engine registration."""
+        agent = _agent(fast_harness, "web-0", reconnect=False)
+        try:
+            qid = ctl.submit(QUERY)["query_id"]
+            assert wait_for(lambda: qid in agent.installed_query_ids)
+            _break_writer(fast_harness, "web-0", RuntimeError("injected: transport is closed"))
+            results = ctl.finish(qid)
+            assert results.query_id == qid
+            assert ctl.finish(qid) == results
+            assert ctl.poll(qid) == results
+            stats = ctl.stats()
+            assert qid in stats["finished"] and qid not in stats["running"]
+            assert not fast_harness.daemon.engine.is_registered(qid)
+        finally:
+            agent.close()
+
+
+class _Writer:
+    """A stand-in StreamWriter that raises on write once armed."""
+
+    def __init__(self) -> None:
+        self.fail_with = None
+        self.frames: list[MsgType] = []
+        self.closed = False
+
+    def is_closing(self) -> bool:
+        return self.closed
+
+    def write(self, data: bytes) -> None:
+        msg_type = MsgType(data[4])
+        if self.fail_with is not None and msg_type != MsgType.HELLO_OK:
+            raise self.fail_with
+        self.frames.append(msg_type)
+
+    async def drain(self) -> None:
+        pass
+
+    def close(self) -> None:
+        self.closed = True
+
+
+_HELLO = {
+    "services": ["Frontends"],
+    "schemas": [{"name": "pv", "fields": [list(f) for f in PV_FIELDS], "doc": ""}],
+}
+
+
+class TestTheOnePush:
+    """``ScrubDaemon._push`` is the only write to an agent's socket; every
+    effect kind that reaches it, under every exception a dead link
+    raises, ends in the same place: the plane told, nothing raised."""
+
+    @staticmethod
+    def _hello(daemon, name, epoch=1):
+        writer = _Writer()
+        session = Session(_Peer(writer))
+        asyncio.run(
+            daemon._perform(
+                daemon.plane.hello(session, {"host": name, "epoch": epoch, **_HELLO}, 0.0)
+            )
+        )
+        return session, writer
+
+    @staticmethod
+    def _request(daemon, msg_type, message, now=0.0):
+        reply = _Writer()
+        asyncio.run(daemon._perform(daemon.plane.request(msg_type, message, now), reply))
+        return reply.frames
+
+    @pytest.mark.parametrize(
+        "exc", [ConnectionResetError("reset"), OSError("down"), RuntimeError("closed")],
+        ids=["ConnectionError", "OSError", "RuntimeError"],
+    )
+    @pytest.mark.parametrize(
+        "kind",
+        ["install-submit", "install-sync", "install-widen", "install-retune",
+         "uninstall-finish", "uninstall-abort", "error-evict"],
+    )
+    def test_a_failed_push_is_reported_not_raised(self, kind, exc):
+        daemon = ScrubDaemon(port=0, lease_seconds=5.0, drain_margin=0.0)
+        plane = daemon.plane
+        victim, writer = self._hello(daemon, "web-0")
+        rollout = {"canary_hosts": 1, "widen_factor": 2.0, "bake_intervals": 1}
+
+        if kind == "install-submit":
+            writer.fail_with = exc
+            assert self._request(daemon, MsgType.SUBMIT, {"query": QUERY}) == [MsgType.SUBMIT_OK]
+            (qid,) = plane.running
+            assert plane.running[qid].install_failures == ["web-0"]
+        elif kind == "install-sync":
+            self._request(daemon, MsgType.SUBMIT, {"query": QUERY})
+            (qid,) = plane.running
+            writer = _Writer()
+            writer.fail_with = exc
+            session = Session(_Peer(writer))
+            hello = {"host": "web-0", "epoch": 2, **_HELLO}
+            asyncio.run(daemon._perform(plane.hello(session, hello, 0.0)))
+            assert writer.frames == [MsgType.HELLO_OK]
+        elif kind == "install-widen":
+            self._hello(daemon, "web-1")
+            self._request(daemon, MsgType.SUBMIT, {"query": QUERY, "rollout": rollout})
+            (qid,) = plane.running
+            (canary,) = plane.running[qid].rollout.installed
+            if canary == "web-0":  # the victim must be the *next* tranche
+                victim, writer = plane.fleet.conn("web-1"), plane.fleet.conn("web-1").peer.writer
+            writer.fail_with = exc
+            asyncio.run(daemon._perform(plane.tick(0.1)))
+            assert plane.running[qid].rollout.state == "complete"
+        elif kind == "install-retune":
+            self._request(daemon, MsgType.SUBMIT, {"query": TARGET_QUERY})
+            (qid,) = plane.running
+            controller = plane.running[qid].controller
+            controller.tick = lambda now: controller._issue(now, 1, 0.5, "relax")
+            writer.fail_with = exc
+            asyncio.run(daemon._perform(plane.tick(0.1)))
+            assert controller.version == 1
+        elif kind == "uninstall-finish":
+            self._request(daemon, MsgType.SUBMIT, {"query": QUERY})
+            (qid,) = plane.running
+            writer.fail_with = exc
+            assert self._request(daemon, MsgType.FINISH, {"query_id": qid}) == [MsgType.RESULTS]
+            assert qid in plane.results and not daemon.engine.is_registered(qid)
+        elif kind == "uninstall-abort":
+            self._hello(daemon, "web-1")
+            self._request(daemon, MsgType.SUBMIT, {"query": QUERY, "rollout": rollout})
+            (qid,) = plane.running
+            (canary,) = plane.running[qid].rollout.installed
+            daemon.engine.ingest(
+                EventBatch(host=canary, query_id=qid, events=[], quarantined="test")
+            )
+            plane.fleet.conn(canary).peer.writer.fail_with = exc
+            asyncio.run(daemon._perform(plane.tick(0.1)))
+            assert plane.running[qid].rollout.state == "aborted"
+        else:  # error-evict: the lease lapses and even the goodbye fails
+            writer.fail_with = exc
+            asyncio.run(daemon._perform(plane.tick(6.0)))
+            assert writer.closed
+
+        if kind.startswith("install"):
+            # Counted once, flagged for that query, the dead session gone.
+            assert plane.push_failures == 1
+            assert plane.running[qid].delivery[victim.host] == "unreachable"
+            assert plane.fleet.conn(victim.host) is None
+            assert victim.peer.writer.closed
+        else:
+            assert plane.push_failures == 0
 
 
 class TestPermanentRejection:

@@ -12,7 +12,7 @@ from repro.core.query.targets import (
     rendezvous_order,
     rendezvous_sample,
 )
-from repro.live.fleet import (
+from repro.core.control.fleet import (
     MEMBER_DISCONNECTED,
     MEMBER_LIVE,
     MEMBER_STALE,

@@ -1,6 +1,8 @@
-"""Fleet rollout under faults: SIGKILL scrubd mid-widen and recover the
-exact journalled stage with install-count conservation; churn the fleet
-mid-rollout and complete over the hosts that still exist."""
+"""Fleet rollout under faults: SIGKILL a real scrubd mid-widen and recover
+the exact journalled stage with install-count conservation (sockets: it
+tests the shell's journal file and the agents' redial); churn the fleet
+mid-rollout and complete over the hosts that still exist (simulated: it
+is a decision of the control plane)."""
 
 from __future__ import annotations
 
@@ -10,14 +12,14 @@ import re
 import socket
 import subprocess
 import sys
-import time
 from pathlib import Path
 
 import pytest
 
 from repro.live.client import ControlClient, LiveAgent
 
-from .conftest import DaemonHarness, wait_for
+from .conftest import wait_for
+from .sim import ControlSim
 
 pytestmark = pytest.mark.chaos
 
@@ -85,6 +87,7 @@ def _agent(port: int, name: str, **kwargs) -> LiveAgent:
     kwargs.setdefault("services", ["Frontends"])
     kwargs.setdefault("heartbeat_interval", 0.1)
     kwargs.setdefault("reconnect_backoff_base", 0.05)
+    kwargs.setdefault("reconnect_backoff_cap", 0.3)
     agent = LiveAgent(("127.0.0.1", port), name, **kwargs)
     agent.define_event("pv", PV_FIELDS)
     agent.start()
@@ -203,53 +206,42 @@ def test_agent_churn_mid_rollout_retires_aged_out_host_and_completes():
     """A pending (not yet installed) host dies mid-rollout and ages out
     of the fleet; the rollout must retire it from the rank order and
     complete over the hosts that still exist, instead of waiting forever
-    for a ghost."""
-    harness = DaemonHarness(lease_seconds=0.4, tick_interval=0.05).start()
-    ctl = ControlClient(harness.address)
-    agents = {}
-    try:
-        for i in range(6):
-            name = f"churn-{i}"
-            agent = LiveAgent(
-                harness.address, name, services=["Frontends"],
-                heartbeat_interval=0.1, reconnect=False,
-            )
-            agent.define_event("pv", PV_FIELDS)
-            agent.start()
-            agents[name] = agent
+    for a ghost.  A decision of the plane: simulated, manual clock."""
+    sim = ControlSim(lease_seconds=0.4)
+    hosts = {f"churn-{i}": sim.add_host(f"churn-{i}") for i in range(6)}
+    handle = sim.submit(
+        QUERY,
+        rollout={"canary_hosts": 1, "widen_factor": 2.0,
+                 "bake_intervals": 12},  # 0.6s/stage: slower than age-out
+    )
+    qid = handle["query_id"]
+    order = handle["rollout"]["order"]
+    # Kill the lowest-ranked host — widening reaches it last, so it
+    # ages out (0.8s: 2x the 0.4s lease) well before its slot comes.
+    victim = order[-1]
+    hosts[victim].hang_up()
 
-        handle = ctl.submit(
-            QUERY,
-            rollout={"canary_hosts": 1, "widen_factor": 2.0,
-                     "bake_intervals": 12},  # 0.6s/stage: slower than age-out
-        )
-        qid = handle["query_id"]
-        order = handle["rollout"]["order"]
-        # Kill the lowest-ranked host — widening reaches it last, so it
-        # ages out (0.8s: 2x the 0.4s lease) well before its slot comes.
-        victim = order[-1]
-        agents[victim].close()
+    def fleet_state(name):
+        return {r["host"]: r["state"] for r in sim.stats()["fleet"]}[name]
 
-        def fleet_state(name):
-            rows = {r["host"]: r for r in ctl.stats()["fleet"]}
-            return rows.get(name, {}).get("state")
-
-        assert wait_for(lambda: fleet_state(victim) == "stale", timeout=5.0)
-        assert wait_for(
-            lambda: ctl.stats()["rollouts"][qid]["state"] == "complete",
-            timeout=15.0,
-        )
-
-        final = ctl.stats()["rollouts"][qid]
-        survivors = [name for name in order if name != victim]
-        assert final["order"] == survivors      # the ghost was retired
-        assert final["installed"] == survivors  # everyone else runs it
-        for name in survivors:
-            assert qid in agents[name].installed_query_ids
-            assert agents[name].installs_applied == 1
-        assert agents[victim].installs_applied == 0
-    finally:
-        for agent in agents.values():
-            agent.close()
-        ctl.close()
-        harness.stop()
+    for _ in range(60):  # 3 simulated seconds of 50 ms ticks
+        sim.advance(0.05)
+        for host in hosts.values():
+            host.heartbeat()
+        sim.tick()
+        if sim.stats()["rollouts"][qid]["state"] == "complete":
+            break
+    assert fleet_state(victim) == "stale"
+    final = sim.stats()["rollouts"][qid]
+    assert final["state"] == "complete"
+    survivors = [name for name in order if name != victim]
+    assert final["order"] == survivors      # the ghost was retired
+    assert final["installed"] == survivors  # everyone else runs it
+    for name in survivors:
+        assert qid in hosts[name].agent.active_query_ids
+        assert hosts[name].installs_applied == 1
+    assert hosts[victim].installs_applied == 0
+    # Journal-before-fan-out held at every widen, and the retirement was
+    # journalled too: a recovery lands in this exact placement.
+    sim.recover()
+    assert sim.stats()["rollouts"][qid] == final

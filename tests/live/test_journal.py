@@ -4,6 +4,13 @@ sequence floor that keeps a recovered daemon from reusing query ids."""
 import json
 
 from repro.core.events import EventSchema
+from repro.core.control.journal import (
+    finish_record,
+    rates_record,
+    rollout_record,
+    schema_record,
+    submit_record,
+)
 from repro.live.journal import QueryJournal, open_journal
 
 PV = EventSchema("pv", [("url", "string"), ("latency_ms", "double")], doc="page view")
@@ -24,11 +31,11 @@ class TestRoundTrip:
 
     def test_submit_then_reload_sees_open_query(self, tmp_path):
         journal = _journal(tmp_path)
-        journal.record_schema(PV)
-        journal.record_submit(
+        journal.append(schema_record(PV))
+        journal.append(submit_record(
             "q00003", "select ...;", 10.0, 70.0,
             planned=("web-0", "web-1"), targeted=("web-0",),
-        )
+        ))
         journal.close()
 
         reloaded = QueryJournal(journal.path)
@@ -43,9 +50,9 @@ class TestRoundTrip:
 
     def test_finish_closes_the_submit(self, tmp_path):
         journal = _journal(tmp_path)
-        journal.record_submit("q00001", "a;", 0.0, 1.0, ("h",), ("h",))
-        journal.record_submit("q00002", "b;", 0.0, 1.0, ("h",), ("h",))
-        journal.record_finish("q00001")
+        journal.append(submit_record("q00001", "a;", 0.0, 1.0, ("h",), ("h",)))
+        journal.append(submit_record("q00002", "b;", 0.0, 1.0, ("h",), ("h",)))
+        journal.append(finish_record("q00001"))
         journal.close()
 
         reloaded = QueryJournal(journal.path)
@@ -57,10 +64,10 @@ class TestRoundTrip:
 
     def test_reopen_appends_not_truncates(self, tmp_path):
         journal = _journal(tmp_path)
-        journal.record_submit("q00001", "a;", 0.0, 1.0, ("h",), ("h",))
+        journal.append(submit_record("q00001", "a;", 0.0, 1.0, ("h",), ("h",)))
         journal.close()
         again = QueryJournal(journal.path)
-        again.record_finish("q00001")
+        again.append(finish_record("q00001"))
         again.close()
         final = QueryJournal(journal.path)
         assert final.state.finished == {"q00001"}
@@ -71,17 +78,17 @@ class TestRoundTrip:
 class TestRolloutRecords:
     def test_last_rollout_record_wins_on_replay(self, tmp_path):
         journal = _journal(tmp_path)
-        journal.record_submit(
+        journal.append(submit_record(
             "q00001", "a;", 0.0, 600.0,
             planned=("h0", "h1", "h2", "h3"), targeted=("h0", "h1", "h2", "h3"),
             rollout={"canary_hosts": 1, "widen_factor": 2.0, "bake_intervals": 2},
-        )
-        journal.record_rollout(
+        ))
+        journal.append(rollout_record(
             "q00001", "canary", 0, ("h0", "h1", "h2", "h3"), ("h0",)
-        )
-        journal.record_rollout(
+        ))
+        journal.append(rollout_record(
             "q00001", "widening", 1, ("h0", "h1", "h2", "h3"), ("h0", "h1")
-        )
+        ))
         journal.close()
 
         reloaded = QueryJournal(journal.path)
@@ -97,15 +104,15 @@ class TestRolloutRecords:
 
     def test_abort_record_survives_replay(self, tmp_path):
         journal = _journal(tmp_path)
-        journal.record_submit(
+        journal.append(submit_record(
             "q00001", "a;", 0.0, 600.0, ("h0", "h1"), ("h0", "h1"),
             rollout={"canary_hosts": 1},
-        )
-        journal.record_rollout(
+        ))
+        journal.append(rollout_record(
             "q00001", "aborted", 0, ("h0", "h1"), ("h0",),
             abort={"reason": "canary-quarantined", "host": "h0",
                    "detail": "impact-budget-exceeded: test", "stage": 0},
-        )
+        ))
         journal.close()
 
         reloaded = QueryJournal(journal.path)
@@ -117,11 +124,11 @@ class TestRolloutRecords:
 
     def test_finish_clears_the_rollout_with_its_submit(self, tmp_path):
         journal = _journal(tmp_path)
-        journal.record_submit(
+        journal.append(submit_record(
             "q00001", "a;", 0.0, 1.0, ("h",), ("h",), rollout={"canary_hosts": 1},
-        )
-        journal.record_rollout("q00001", "complete", 1, ("h",), ("h",))
-        journal.record_finish("q00001")
+        ))
+        journal.append(rollout_record("q00001", "complete", 1, ("h",), ("h",)))
+        journal.append(finish_record("q00001"))
         journal.close()
 
         reloaded = QueryJournal(journal.path)
@@ -132,7 +139,7 @@ class TestRolloutRecords:
 
     def test_plain_submit_carries_no_rollout_key(self, tmp_path):
         journal = _journal(tmp_path)
-        journal.record_submit("q00001", "a;", 0.0, 1.0, ("h",), ("h",))
+        journal.append(submit_record("q00001", "a;", 0.0, 1.0, ("h",), ("h",)))
         journal.close()
         reloaded = QueryJournal(journal.path)
         assert "rollout" not in reloaded.state.open_queries["q00001"]
@@ -143,7 +150,7 @@ class TestRolloutRecords:
 class TestCrashTolerance:
     def test_torn_trailing_record_is_dropped(self, tmp_path):
         journal = _journal(tmp_path)
-        journal.record_submit("q00001", "a;", 0.0, 1.0, ("h",), ("h",))
+        journal.append(submit_record("q00001", "a;", 0.0, 1.0, ("h",), ("h",)))
         journal.close()
         # Simulate a crash mid-append: a half-written record at the tail.
         with open(journal.path, "a", encoding="utf-8") as handle:
@@ -159,15 +166,15 @@ class TestCrashTolerance:
         # more work; crash 2 must replay *all* of it — the torn tail may
         # not swallow the first post-recovery append.
         journal = _journal(tmp_path)
-        journal.record_submit("q00001", "a;", 0.0, 1.0, ("h",), ("h",))
+        journal.append(submit_record("q00001", "a;", 0.0, 1.0, ("h",), ("h",)))
         journal.close()
         with open(journal.path, "a", encoding="utf-8") as handle:
             handle.write('{"op": "submit", "query_id": "q000')
 
         recovered = QueryJournal(journal.path)  # recovery after crash 1
         assert recovered.state.torn_records == 1
-        recovered.record_submit("q00002", "b;", 0.0, 1.0, ("h",), ("h",))
-        recovered.record_finish("q00001")
+        recovered.append(submit_record("q00002", "b;", 0.0, 1.0, ("h",), ("h",)))
+        recovered.append(finish_record("q00001"))
         recovered.close()
 
         final = QueryJournal(journal.path)  # recovery after crash 2
@@ -183,7 +190,7 @@ class TestCrashTolerance:
         # newline; the fragment parses, but appending onto it would
         # corrupt the next record, so it counts as torn and is dropped.
         journal = _journal(tmp_path)
-        journal.record_submit("q00001", "a;", 0.0, 1.0, ("h",), ("h",))
+        journal.append(submit_record("q00001", "a;", 0.0, 1.0, ("h",), ("h",)))
         journal.close()
         with open(journal.path, "a", encoding="utf-8") as handle:
             handle.write('{"op":"finish","query_id":"q00001"}')  # no \n
@@ -191,7 +198,7 @@ class TestCrashTolerance:
         recovered = QueryJournal(journal.path)
         assert recovered.state.torn_records == 1
         assert set(recovered.state.open_queries) == {"q00001"}
-        recovered.record_finish("q00001")
+        recovered.append(finish_record("q00001"))
         recovered.close()
 
         final = QueryJournal(journal.path)
@@ -217,10 +224,10 @@ def test_open_journal_propagates_none():
 class TestRatesRecords:
     def test_last_rates_record_wins_on_replay(self, tmp_path):
         journal = _journal(tmp_path)
-        journal.record_submit("q00001", "a;", 0.0, 60.0, ("h",), ("h",))
-        journal.record_rates("q00001", 1, 1.0, 0.7071, reason="relax")
-        journal.record_rates("q00001", 2, 1.0, 0.5, reason="relax")
-        journal.record_rates("q00001", 3, 1.0, 0.25, reason="clamp")
+        journal.append(submit_record("q00001", "a;", 0.0, 60.0, ("h",), ("h",)))
+        journal.append(rates_record("q00001", 1, 1.0, 0.7071, reason="relax"))
+        journal.append(rates_record("q00001", 2, 1.0, 0.5, reason="relax"))
+        journal.append(rates_record("q00001", 3, 1.0, 0.25, reason="clamp"))
         journal.close()
 
         reloaded = QueryJournal(journal.path)
@@ -232,9 +239,9 @@ class TestRatesRecords:
 
     def test_finish_clears_the_rates_with_its_submit(self, tmp_path):
         journal = _journal(tmp_path)
-        journal.record_submit("q00001", "a;", 0.0, 60.0, ("h",), ("h",))
-        journal.record_rates("q00001", 1, 1.0, 0.5)
-        journal.record_finish("q00001")
+        journal.append(submit_record("q00001", "a;", 0.0, 60.0, ("h",), ("h",)))
+        journal.append(rates_record("q00001", 1, 1.0, 0.5))
+        journal.append(finish_record("q00001"))
         journal.close()
 
         reloaded = QueryJournal(journal.path)
@@ -246,8 +253,8 @@ class TestRatesRecords:
         # A SIGKILL mid-append must recover to the last *journalled*
         # retune, never a half-written one.
         journal = _journal(tmp_path)
-        journal.record_submit("q00001", "a;", 0.0, 60.0, ("h",), ("h",))
-        journal.record_rates("q00001", 1, 1.0, 0.7071)
+        journal.append(submit_record("q00001", "a;", 0.0, 60.0, ("h",), ("h",)))
+        journal.append(rates_record("q00001", 1, 1.0, 0.7071))
         journal.close()
         with open(journal.path, "a", encoding="utf-8") as f:
             f.write('{"op":"rates","query_id":"q00001","version":2,"ev')

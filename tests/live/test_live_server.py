@@ -97,7 +97,9 @@ class TestLifecycle:
         finally:
             agent.close()
 
-    def test_query_reaped_after_span(self, harness, ctl):
+    def test_query_reaped_after_span(self):
+        harness = DaemonHarness(drain_margin=0.2).start()
+        ctl = ControlClient(harness.address)
         agent = _agent(harness, "web-0")
         try:
             qid = ctl.submit(
@@ -110,6 +112,8 @@ class TestLifecycle:
             assert ctl.finish(qid).query_id == qid
         finally:
             agent.close()
+            ctl.close()
+            harness.stop()
 
 
 class TestRejections:
@@ -219,6 +223,84 @@ class TestRejections:
         finally:
             other.close()
             first.close()
+
+
+class TestBadRequests:
+    """A malformed control message gets a structured refusal — an ERROR
+    frame with ``bad-request`` — never a bare close, an ``internal``
+    error, or an exception in asyncio's connection callback."""
+
+    @staticmethod
+    def _exchange(harness, msg_type, message):
+        with socket.create_connection(harness.address, timeout=5.0) as sock:
+            sock.settimeout(5.0)
+            sock.sendall(encode_message_frame(msg_type, message))
+            frame = recv_frame(sock)
+        assert frame is not None, "scrubd closed the connection without a word"
+        return frame[0], decode_message(frame[1])
+
+    @pytest.fixture
+    def unhandled(self, harness):
+        """Whatever reaches the daemon loop's exception handler."""
+        seen = []
+        harness.loop.call_soon_threadsafe(
+            harness.loop.set_exception_handler, lambda _loop, ctx: seen.append(ctx)
+        )
+        return seen
+
+    @pytest.mark.parametrize(
+        "hello",
+        [
+            {"epoch": 1, "services": ["Frontends"]},
+            {"host": "", "epoch": 1},
+            {"host": "web-0", "epoch": "abc"},
+            {"host": "web-0", "epoch": 1, "services": 7},
+            {"host": "web-0", "epoch": 1, "services": "Frontends"},
+            {"host": "web-0", "epoch": 1, "datacenter": 3},
+            {"host": "web-0", "epoch": 1, "schemas": [{"name": "pv"}]},
+        ],
+        ids=["no-host", "empty-host", "epoch-str", "services-int", "services-str",
+             "datacenter-int", "schema-without-fields"],
+    )
+    def test_bad_hello_is_refused_and_registers_nothing(self, harness, ctl, unhandled, hello):
+        msg_type, reply = self._exchange(harness, MsgType.AGENT_HELLO, hello)
+        assert msg_type == MsgType.ERROR
+        assert reply["error"] == "bad-request"
+        stats = ctl.stats()
+        assert stats["control_rejected"] == 1
+        assert stats["hosts"] == [] and stats["fleet"] == []
+        assert len(harness.daemon.plane.registry) == 0
+        assert unhandled == []
+
+    @pytest.mark.parametrize(
+        "msg_type, message",
+        [
+            (MsgType.SUBMIT, {}),
+            (MsgType.SUBMIT, {"query": 7}),
+            (MsgType.SUBMIT, {"query": QUERY, "rollout": "fast"}),
+            (MsgType.POLL, {}),
+            (MsgType.FINISH, {"query_id": 3}),
+        ],
+        ids=["submit-empty", "submit-int", "submit-rollout-str", "poll-empty", "finish-int"],
+    )
+    def test_bad_request_is_answered_not_internal(self, harness, ctl, msg_type, message):
+        reply_type, reply = self._exchange(harness, msg_type, message)
+        assert reply_type == MsgType.ERROR
+        assert reply["error"] == "bad-request"
+        stats = ctl.stats()
+        assert stats["control_rejected"] == 1
+        assert stats["running"] == [] and stats["finished"] == []
+
+    def test_heartbeat_with_garbage_costs_is_counted_and_the_lease_renewed(self, harness, ctl):
+        agent = _agent(harness, "web-0")
+        try:
+            agent._control.sendall(
+                encode_message_frame(MsgType.HEARTBEAT, {"query_costs": ["not", "a", "map"]})
+            )
+            assert wait_for(lambda: ctl.stats()["control_rejected"] == 1)
+            assert [h["host"] for h in ctl.stats()["hosts"]] == ["web-0"]
+        finally:
+            agent.close()
 
 
 class TestStats:

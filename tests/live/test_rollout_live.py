@@ -1,23 +1,17 @@
-"""Fleet lifecycle against a real daemon: canary rollout widening to
-completion, the auto-abort acceptance story (a quarantined canary stops
-the rollout with zero installs on the untouched fleet), journal-recovered
-queries installing on late-joining hosts, and silent hosts aging out of
-coverage as ``stale`` then rejoining with an epoch bump."""
-
-import socket
-import time
+"""Fleet lifecycle: canary rollout widening to completion against a real
+daemon (the one end-to-end rollout over sockets), and — as decisions of
+the control plane, on the simulator with a manual clock — the auto-abort
+acceptance story (a quarantined canary stops the rollout with zero
+installs on the untouched fleet), journal-recovered queries installing
+on late-joining hosts, and silent hosts aging out of coverage as
+``stale`` then rejoining with an epoch bump."""
 
 from repro.core.agent.transport import EventBatch
 from repro.live.client import ControlClient, LiveAgent
-from repro.live.protocol import (
-    MsgType,
-    decode_message,
-    encode_batch_frame_into,
-    encode_message_frame,
-    recv_frame,
-)
+from repro.live.protocol import MsgType
 
 from .conftest import DaemonHarness, wait_for
+from .sim import ControlSim
 
 QUERY = (
     "select pv.url, COUNT(*) from pv @[Service in Frontends] "
@@ -31,13 +25,6 @@ QUERY_1S = (
 
 PV_FIELDS = [("url", "string"), ("latency_ms", "double")]
 
-PV_SCHEMA_PAYLOAD = {
-    "name": "pv",
-    "fields": [["url", "string"], ["latency_ms", "double"]],
-    "doc": "",
-}
-
-
 def _agent(harness, name, **kwargs) -> LiveAgent:
     kwargs.setdefault("services", ["Frontends"])
     kwargs.setdefault("heartbeat_interval", 0.1)
@@ -46,73 +33,6 @@ def _agent(harness, name, **kwargs) -> LiveAgent:
     agent.define_event("pv", PV_FIELDS)
     agent.start()
     return agent
-
-
-def _raw_register(address, name, epoch=1):
-    """Register a host the hard way: a bare socket that never heartbeats.
-    Returns ``(sock, installs)`` — the query ids whose INSTALL pushes
-    arrived before the post-hello SYNC (a rejoin mid-span replays them)."""
-    sock = socket.create_connection(address, timeout=5.0)
-    sock.settimeout(5.0)
-    sock.sendall(
-        encode_message_frame(
-            MsgType.AGENT_HELLO,
-            {
-                "host": name,
-                "epoch": epoch,
-                "services": ["Frontends"],
-                "datacenter": "dc1",
-                "schemas": [PV_SCHEMA_PAYLOAD],
-            },
-        )
-    )
-    frame = recv_frame(sock)
-    assert frame is not None and frame[0] == MsgType.HELLO_OK
-    installs = []
-    while True:
-        frame = recv_frame(sock)
-        assert frame is not None, f"{name}: daemon closed before SYNC"
-        if frame[0] == MsgType.SYNC:
-            break
-        assert frame[0] == MsgType.INSTALL
-        installs.append(decode_message(frame[1])["query_id"])
-    return sock, installs
-
-
-def _drain_frames(sock, window=0.2):
-    """Read whatever frames arrive on *sock* within *window* seconds."""
-    frames = []
-    sock.settimeout(window)
-    try:
-        while True:
-            frame = recv_frame(sock)
-            if frame is None:
-                break
-            frames.append(frame[0])
-    except (TimeoutError, socket.timeout):
-        pass
-    return frames
-
-
-def _inject_quarantine(address, host, query_id):
-    """What a governor quarantine looks like on the wire: the host's
-    final flush carries the structured reason.  Injecting it straight on
-    a data channel makes the abort trigger deterministic — the governor
-    ladder itself is pinned by tests/core/test_governor.py."""
-    batch = EventBatch(
-        host=host, query_id=query_id, events=[],
-        quarantined="impact-budget-exceeded: injected by test",
-    )
-    buf = bytearray()
-    encode_batch_frame_into(buf, batch)
-    with socket.create_connection(address, timeout=5.0) as sock:
-        sock.settimeout(5.0)
-        sock.sendall(encode_message_frame(MsgType.DATA_HELLO, {"host": host}))
-        sock.sendall(bytes(buf))
-        # The PONG barrier proves the shard workers ingested the batch.
-        sock.sendall(encode_message_frame(MsgType.PING, {"token": 1}))
-        frame = recv_frame(sock)
-        assert frame is not None and frame[0] == MsgType.PONG
 
 
 class TestCanaryWidening:
@@ -157,106 +77,129 @@ class TestCanaryWidening:
 
 class TestCanaryAbort:
     def test_quarantined_canary_aborts_with_zero_installs_elsewhere(self):
-        """The E2E acceptance story: a hot query canaries onto 2 of 20
+        """The acceptance story: a hot query canaries onto 2 of 20
         registered agents; one canary's governor quarantines it; the
         rollout auto-aborts with the canaries uninstalled and not one
         INSTALL ever reaching the other 18 hosts."""
-        harness = DaemonHarness().start()
-        socks, ctl = {}, ControlClient(harness.address)
-        try:
-            for i in range(20):
-                sock, installs = _raw_register(harness.address, f"raw-{i:02d}")
-                assert installs == []
-                socks[f"raw-{i:02d}"] = sock
+        sim = ControlSim(lease_seconds=60.0)
+        hosts = {f"raw-{i:02d}": sim.add_host(f"raw-{i:02d}") for i in range(20)}
+        handle = sim.submit(
+            QUERY,
+            rollout={"canary_hosts": 2, "widen_factor": 2.0,
+                     "bake_intervals": 10_000},  # bake forever: no widen
+        )
+        qid = handle["query_id"]
+        canaries = handle["rollout"]["installed"]
+        assert len(canaries) == 2
+        assert len(handle["rollout"]["order"]) == 20
+        bystanders = [n for n in hosts if n not in canaries]
 
-            handle = ctl.submit(
-                QUERY,
-                rollout={"canary_hosts": 2, "widen_factor": 2.0,
-                         "bake_intervals": 10_000},  # bake forever: no widen
+        # The canaries (and only they) got the INSTALL push.
+        for name in canaries:
+            assert [m["query_id"] for m in hosts[name].received(MsgType.INSTALL)] == [qid]
+
+        # What a governor quarantine looks like at the central: the
+        # host's final flush carries the structured reason (the ladder
+        # itself is pinned by tests/core/test_governor.py).
+        sim.run(1.0)
+        assert sim.stats()["rollouts"][qid]["state"] == "canary"
+        sim.ingest(
+            EventBatch(
+                host=canaries[0], query_id=qid, events=[],
+                quarantined="impact-budget-exceeded: injected by test",
             )
-            qid = handle["query_id"]
-            canaries = handle["rollout"]["installed"]
-            assert len(canaries) == 2
-            assert len(handle["rollout"]["order"]) == 20
-            bystanders = [n for n in socks if n not in canaries]
+        )
+        sim.tick()
 
-            # The canaries (and only they) got the INSTALL push.
-            for name in canaries:
-                assert MsgType.INSTALL in _drain_frames(socks[name], 1.0)
+        # STATS carries the structured abort and the frozen placement.
+        stats = sim.stats()
+        ro = stats["rollouts"][qid]
+        assert ro["state"] == "aborted"
+        assert ro["abort"]["reason"] == "canary-quarantined"
+        assert ro["abort"]["host"] == canaries[0]
+        assert ro["abort"]["stage"] == 0
+        assert ro["installed"] == canaries
+        assert sorted(stats["queries"][qid]["targeted"]) == sorted(canaries)
 
-            _inject_quarantine(harness.address, canaries[0], qid)
-            assert wait_for(
-                lambda: ctl.stats()["rollouts"].get(qid, {}).get("state")
-                == "aborted",
-                timeout=5.0,
-            )
+        # ... and POLL surfaces the same abort to the troubleshooter.
+        results = sim.poll(qid)
+        assert results.rollout["state"] == "aborted"
+        assert results.rollout["abort"]["reason"] == "canary-quarantined"
 
-            # STATS carries the structured abort and the frozen placement.
-            stats = ctl.stats()
-            ro = stats["rollouts"][qid]
-            assert ro["abort"]["reason"] == "canary-quarantined"
-            assert ro["abort"]["host"] == canaries[0]
-            assert ro["abort"]["stage"] == 0
-            assert ro["installed"] == canaries
-            assert sorted(stats["queries"][qid]["targeted"]) == sorted(canaries)
+        # The canaries were uninstalled; the other 18 heard *nothing* —
+        # not then, and not however long the aborted query lingers.
+        sim.run(5.0)
+        for name in canaries:
+            assert hosts[name].received(MsgType.UNINSTALL) == [{"query_id": qid}]
+            assert hosts[name].agent.active_query_ids == ()
+        for name in bystanders:
+            assert hosts[name].received(MsgType.INSTALL) == []
 
-            # ... and POLL surfaces the same abort to the troubleshooter.
-            results = ctl.poll(qid)
-            assert results.rollout["state"] == "aborted"
-            assert results.rollout["abort"]["reason"] == "canary-quarantined"
+    def test_late_joiner_is_never_admitted_to_an_aborted_rollout(self):
+        sim = ControlSim(lease_seconds=60.0)
+        for i in range(3):
+            sim.add_host(f"web-{i}")
+        handle = sim.submit(
+            QUERY, rollout={"canary_hosts": 1, "bake_intervals": 10_000}
+        )
+        qid = handle["query_id"]
+        (canary,) = handle["rollout"]["installed"]
+        sim.ingest(EventBatch(host=canary, query_id=qid, events=[], quarantined="test"))
+        sim.tick()
+        frozen = sim.stats()["rollouts"][qid]
+        assert frozen["state"] == "aborted"
 
-            # The canaries were uninstalled; the other 18 heard *nothing*.
-            for name in canaries:
-                assert MsgType.UNINSTALL in _drain_frames(socks[name], 1.0)
-            for name in bystanders:
-                assert MsgType.INSTALL not in _drain_frames(socks[name], 0.1)
-        finally:
-            for sock in socks.values():
-                sock.close()
-            ctl.close()
-            harness.stop()
+        late = sim.add_host("web-late")
+        assert late.received(MsgType.INSTALL) == []
+        assert late.received(MsgType.SYNC) == [{"query_ids": []}]
+        assert sim.stats()["rollouts"][qid] == frozen
 
 
 class TestRecoveryLateJoin:
-    def test_recovered_query_stays_pending_then_installs_on_late_join(
-        self, tmp_path
-    ):
+    def test_recovered_query_stays_pending_then_installs_on_late_join(self):
         """A journalled query whose hosts never came back resolves to
         zero live hosts on recovery; it must stay pending (running, all
         delivery ``never-seen``) and install the moment a matching agent
-        registers — even one the crashed daemon never met."""
-        journal = str(tmp_path / "scrubd.journal")
-        first = DaemonHarness(journal_path=journal).start()
-        ctl = ControlClient(first.address)
-        agent = _agent(first, "web-0", reconnect=False)
-        try:
-            qid = ctl.submit(QUERY)["query_id"]
-            assert wait_for(lambda: qid in agent.installed_query_ids)
-        finally:
-            agent.close()
-            ctl.close()
-            first.stop()
+        registers — even one the crashed plane never met."""
+        sim = ControlSim()
+        sim.add_host("web-0")
+        qid = sim.submit(QUERY)["query_id"]
+        sim.recover()  # web-0 died with the old scrubd and never redials
 
-        second = DaemonHarness(journal_path=journal).start()
-        ctl2 = ControlClient(second.address)
-        late = None
-        try:
-            stats = ctl2.stats()
-            assert qid in stats["running"]
-            assert stats["hosts"] == []
-            assert stats["queries"][qid]["delivery"] == {"web-0": "never-seen"}
+        stats = sim.stats()
+        assert qid in stats["running"]
+        assert stats["hosts"] == []
+        assert stats["queries"][qid]["delivery"] == {"web-0": "never-seen"}
 
-            late = _agent(second, "web-9", reconnect=False)
-            assert wait_for(lambda: qid in late.installed_query_ids, timeout=5.0)
-            assert late.installs_applied == 1
-            stats = ctl2.stats()
-            assert "web-9" in stats["queries"][qid]["targeted"]
-            assert stats["queries"][qid]["delivery"]["web-9"] == "connected"
-        finally:
-            if late is not None:
-                late.close()
-            ctl2.close()
-            second.stop()
+        late = sim.add_host("web-9")
+        assert qid in late.agent.active_query_ids
+        assert late.installs_applied == 1
+        stats = sim.stats()
+        assert "web-9" in stats["queries"][qid]["targeted"]
+        assert stats["queries"][qid]["delivery"]["web-9"] == "connected"
+
+    def test_late_join_placement_is_rendezvous_stable(self):
+        """A plain sampled query admits a late joiner exactly when the
+        rendezvous pick over the live membership would have chosen it —
+        and nobody else's placement moves."""
+        sim = ControlSim(lease_seconds=60.0)
+        for i in range(8):
+            sim.add_host(f"web-{i}")
+        handle = sim.submit(
+            "select COUNT(*) from pv @[Service in Frontends] sample hosts 50% "
+            "window 10s duration 600s;"
+        )
+        qid = handle["query_id"]
+        before = handle["targeted_hosts"]
+        assert len(before) == 4
+        joined = []
+        for i in range(8, 16):
+            late = sim.add_host(f"web-{i}")
+            if qid in late.agent.active_query_ids:
+                joined.append(late.name)
+        targeted = sim.stats()["queries"][qid]["targeted"]
+        assert targeted == before + joined  # nobody moved, nobody left
+        assert 0 < len(joined) < 8         # some, not all: it is a sample
 
 
 class TestStaleAgeOut:
@@ -268,67 +211,56 @@ class TestStaleAgeOut:
         ``missing: stale`` — a named state, not silently widened bounds —
         and a later re-registration with a bumped epoch rejoins cleanly
         while the other hosts' membership is untouched."""
-        harness = DaemonHarness(
-            lease_seconds=0.5, grace_seconds=0.5, tick_interval=0.05
-        ).start()
-        ctl = ControlClient(harness.address)
-        agent = _agent(harness, "web-0")
-        raw_sock = raw_rejoin = None
-        try:
-            stale_after = ctl.stats()["stale_after"]
-            assert stale_after == 1.0  # one clock: 2x the 0.5s lease
+        sim = ControlSim(lease_seconds=0.5, grace_seconds=0.5)
+        assert sim.stats()["stale_after"] == 1.0  # one clock: 2x the 0.5s lease
+        web0 = sim.add_host("web-0")
+        raw1 = sim.add_host("raw-1")
+        qid = sim.submit(QUERY_1S)["query_id"]
+        web0_epoch = sim.stats()["fleet"][1]["epoch"]
 
-            raw_sock, _ = _raw_register(harness.address, "raw-1", epoch=1)
-            qid = ctl.submit(QUERY_1S)["query_id"]
-            assert wait_for(lambda: qid in agent.installed_query_ids)
-            web0_epoch = agent.epoch
+        def fleet_state(name):
+            return {r["host"]: r["state"] for r in sim.stats()["fleet"]}[name]
 
-            # raw-1 never heartbeats: lease expiry, then the age-out.
-            def fleet_state(name):
-                rows = {r["host"]: r for r in ctl.stats()["fleet"]}
-                return rows.get(name, {}).get("state")
+        def step(seconds):
+            for _ in range(round(seconds / 0.25)):
+                sim.advance(0.25)
+                web0.heartbeat()
+                web0.agent.flush()
+                sim.tick()
 
-            assert wait_for(lambda: fleet_state("raw-1") == "stale", timeout=5.0)
-            stats = ctl.stats()
-            assert stats["queries"][qid]["delivery"]["raw-1"] == "stale"
-            assert fleet_state("web-0") == "live"
+        # raw-1 never heartbeats: lease expiry, then the age-out.
+        step(0.75)
+        assert fleet_state("raw-1") == "disconnected"
+        assert sim.stats()["queries"][qid]["delivery"]["raw-1"] == "lease-expired"
+        step(0.5)
+        assert fleet_state("raw-1") == "stale"
+        assert sim.stats()["queries"][qid]["delivery"]["raw-1"] == "stale"
+        assert fleet_state("web-0") == "live"
 
-            # Events logged *after* the age-out land in a window that can
-            # only close after it — so its coverage must name the state.
-            t0 = time.time()
-            for rid in range(4):
-                agent.log("pv", url="/a", latency_ms=1.0, request_id=rid,
-                          timestamp=t0)
-            assert agent.drain(10.0)
+        # Events logged *after* the age-out land in a window that can
+        # only close after it — so its coverage must name the state.
+        t0 = sim.now
+        for _ in range(4):
+            web0.log()
+        step(2.0)
+        (window,) = [
+            w for w in sim.poll(qid).windows
+            if w.window_start <= t0 < w.window_end
+        ]
+        assert window.coverage.missing == {"raw-1": "stale"}
+        assert window.coverage.reporting == ("web-0",)
+        assert window.degraded
 
-            # The window closing after the age-out names the state.
-            def stale_window():
-                for w in ctl.poll(qid).windows:
-                    if w.coverage and w.coverage.missing.get("raw-1") == "stale":
-                        return w
-                return None
-
-            assert wait_for(lambda: stale_window() is not None, timeout=10.0)
-            window = stale_window()
-            assert window.coverage.reporting == ("web-0",)
-            assert window.degraded
-
-            # Rejoin with a bumped epoch: HELLO_OK, INSTALL replay, live.
-            raw_rejoin, installs = _raw_register(
-                harness.address, "raw-1", epoch=2
-            )
-            assert installs == [qid]
-            assert wait_for(lambda: fleet_state("raw-1") == "live", timeout=5.0)
-            rows = {r["host"]: r for r in ctl.stats()["fleet"]}
-            assert rows["raw-1"]["epoch"] == 2
-            assert ctl.stats()["queries"][qid]["delivery"]["raw-1"] == "connected"
-            # The bystander's session was untouched by the churn.
-            assert rows["web-0"]["state"] == "live"
-            assert rows["web-0"]["epoch"] == web0_epoch
-        finally:
-            for sock in (raw_sock, raw_rejoin):
-                if sock is not None:
-                    sock.close()
-            agent.close()
-            ctl.close()
-            harness.stop()
+        # Rejoin with a bumped epoch: HELLO_OK, INSTALL replay, live.
+        raw1.frames.clear()
+        assert raw1.connect()
+        assert [kind for kind, _m in raw1.frames] == [
+            MsgType.HELLO_OK, MsgType.INSTALL, MsgType.SYNC
+        ]
+        rows = {r["host"]: r for r in sim.stats()["fleet"]}
+        assert rows["raw-1"]["state"] == "live"
+        assert rows["raw-1"]["epoch"] > web0_epoch
+        assert sim.stats()["queries"][qid]["delivery"]["raw-1"] == "connected"
+        # The bystander's session was untouched by the churn.
+        assert rows["web-0"]["state"] == "live"
+        assert rows["web-0"]["epoch"] == web0_epoch
