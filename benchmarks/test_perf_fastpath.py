@@ -153,9 +153,9 @@ def _sampled():
 @pytest.mark.xfail(
     strict=True,
     reason="ROADMAP item 2: a 1%-sampled call costs more than shipping one "
-    "(two Python _splitmix64 rounds per call; ~1 900 vs ~1 170 ns in "
-    "BENCH_fastpath.json).  Strict on purpose: the day the hash stops being "
-    "the dearest regime this turns the run red, and the marker goes.",
+    "(two Python _splitmix64 rounds per call; 2 120 vs 1 249 ns in E12's "
+    "report, results/E12_fastpath.txt).  Strict on purpose: the day the hash "
+    "stops being the dearest regime this turns the run red, and the marker goes.",
 )
 def test_sampled_out_is_not_dearer_than_shipping():
     # In Python, the sampling hash should cost about as much as the

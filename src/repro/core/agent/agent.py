@@ -882,7 +882,3 @@ class ScrubAgent:
     @property
     def buffered(self) -> int:
         return len(self._buffer)
-
-    @property
-    def buffer_dropped(self) -> int:
-        return self._buffer.dropped

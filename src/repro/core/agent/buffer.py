@@ -54,10 +54,6 @@ class BoundedBuffer(Generic[T]):
     def __len__(self) -> int:
         return len(self._items)
 
-    @property
-    def is_full(self) -> bool:
-        return len(self._items) >= self._capacity
-
     def offer(self, item: T) -> bool:
         """Append *item*; returns False (and counts a drop) when full."""
         with self._lock:

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import islice
 from operator import attrgetter
 from typing import Any, Callable, Iterable, Mapping, Optional
 
@@ -48,6 +49,11 @@ _timestamp_of = attrgetter("timestamp")
 #: absorb host flush delays.  Tuned to the agents' flush cadence.
 DEFAULT_GRACE_SECONDS = 2.0
 
+#: Joined rows handed to one ``process_batch`` at a window close: enough
+#: to amortise the per-batch work, few enough that a large join's rows
+#: are never all alive at once.
+_JOIN_SLICE = 4096
+
 
 @dataclass
 class CentralStats:
@@ -59,6 +65,8 @@ class CentralStats:
     #: into an ``Event`` (docs/SCALING.md §"Fixed-layout row ingest").
     events_rowed: int = 0
     events_late: int = 0
+    #: ``seen_counts`` entries that named an already-closed window.
+    seen_counts_late: int = 0
     bytes_received: int = 0
     windows_emitted: int = 0
     rows_emitted: int = 0
@@ -277,8 +285,9 @@ class CentralEngine:
 
         Batch-oriented: events are segmented by window once, then each
         window's slice goes through one residual/group/aggregate pass
-        (:meth:`WindowGroups.process_batch`).  Produces results identical
-        to :meth:`ingest_reference`, the retained per-event path.
+        (:meth:`WindowGroups.process_batch`).  The per-event engine this
+        replaced is the differential oracle in the test tree
+        (``tests/core/reference_engine.py``).
         """
         rq = self._queries.get(batch.query_id)
         if rq is None:
@@ -348,53 +357,23 @@ class CentralEngine:
         rq = self._queries.get(query_id)
         return rq is not None and rq.takes_rows
 
-    def ingest_reference(self, batch: EventBatch) -> None:
-        """Consume one host flush via per-event dispatch.
-
-        The pre-batching ingest path, kept verbatim as the reference
-        semantics: the differential tests and ``benchmarks/run_bench.py``
-        hold the batched and process-parallel paths to exactly this
-        behavior (and the benchmark uses it as the serial baseline).
-        """
-        rq = self._queries.get(batch.query_id)
-        if rq is None:
-            return
-        stats = self.stats
-        stats.batches_received += 1
-        stats.events_received += len(batch.events)
-        # wire_size() is pinned byte-equal to len(encode_full_batch(batch));
-        # the arithmetic form keeps a full encode off the ingest path.
-        stats.bytes_received += batch.wire_size()
-
-        self._ingest_metadata(rq, batch)
-
-        is_join = rq.spec.is_join
-        for event in batch.events:
-            indices = rq.tracker.observe(event.timestamp)
-            if not indices:
-                stats.events_late += 1
-                rq.late_since_close += 1
-                continue
-            for window in indices:
-                rq.hosts_by_window.setdefault(window, set()).add(event.host)
-                if is_join:
-                    buffer = rq.join_buffers.get(window)
-                    if buffer is None:
-                        buffer = JoinBuffer(rq.spec.sources)
-                        rq.join_buffers[window] = buffer
-                    buffer.add(event)
-                else:
-                    state = rq.windows.get(window)
-                    if state is None:
-                        state = rq.processor.make_window_state()
-                        rq.windows[window] = state
-                    if state.process(event) and rq.estimable_aggs:
-                        self._accumulate_host_values(rq, window, event)
-
     def _ingest_metadata(self, rq: _RunningQuery, batch: EventBatch) -> None:
         """Batch-level bookkeeping: M_i counts, drop attribution, partials."""
-        # Per-window matched counts (M_i) from the agent.
-        for (_event_type, window), count in batch.seen_counts.items():
+        # Per-window matched counts (M_i) from the agent.  One for a window
+        # already closed (a flush carried over an outage, a peer naming old
+        # windows) is late like an event would be: nothing will ever close
+        # that window again, so state created for it would never be freed.
+        # Agents count per window *length* (``int(now // window_seconds)``),
+        # which is the tracker's index only for tumbling windows; a SLIDE
+        # query is never estimable and takes its coverage from the events
+        # themselves, so its counts are not booked at all.
+        is_closed = rq.tracker._is_closed
+        seen_counts = batch.seen_counts if rq.spec.slide_seconds is None else {}
+        for (_event_type, window), count in seen_counts.items():
+            if is_closed(window):
+                self.stats.seen_counts_late += 1
+                rq.late_since_close += 1
+                continue
             acc = rq.host_window_acc(window, batch.host)
             acc.seen += count
             rq.hosts_by_window.setdefault(window, set()).add(batch.host)
@@ -525,28 +504,15 @@ class CentralEngine:
         for aggregate_state, payload in zip(states, partial.values):
             aggregate_state.merge_partial(payload)
 
-    def _accumulate_host_values(self, rq: _RunningQuery, window: int, event: Any) -> None:
-        acc = rq.host_window_acc(window, event.host)
-        arg_fns = rq.processor.accessors.agg_arg_fns
-        for i in rq.estimable_aggs:
-            agg = rq.processor.agg_calls[i]
-            if agg.func == "COUNT":
-                continue  # M_i alone estimates COUNT; no values needed
-            value = arg_fns[i](event)
-            if value is None:
-                continue
-            acc.counts[i] += 1
-            acc.totals[i] += value
-            acc.sum_sqs[i] += value * value
-
     def _accumulate_host_values_batch(
         self, rq: _RunningQuery, window: int, events: list,
         accessors: Optional[Accessors] = None, host: Optional[str] = None,
     ) -> None:
-        """Batched :meth:`_accumulate_host_values`: one host-grouping pass,
-        then per-host left folds in event order (float-identical to the
-        per-event path, which also folds each host's values in order).
-        Wire rows are read through their *accessors* and share one *host*."""
+        """Fold the accepted events' aggregate arguments into the sampling
+        estimator's per-(host, window) summaries: one host-grouping pass,
+        then per-host left folds in event order (float-identical to
+        folding event by event).  Wire rows are read through their
+        *accessors* and share one *host*."""
         by_host: dict[str, list] = {}
         if host is None:
             for event in events:
@@ -602,16 +568,25 @@ class CentralEngine:
             raise QueryNotFoundError(query_id)
         return rq.results
 
-    def _close_window(self, rq: _RunningQuery, window: int) -> WindowResult:
-        rq.tracker.close(window)
-        # Join queries defer all row processing to window close.
+    def _take_window_state(self, rq: _RunningQuery, window: int) -> Optional[WindowGroups]:
+        """Remove and return *window*'s group state, or None if nothing
+        reached it.  Join queries defer all row processing to here: the
+        window's buffered events are joined and go through
+        ``process_batch`` in slices — a request's cross product is never
+        held whole, and each state still sees its rows in join order."""
         buffer = rq.join_buffers.pop(window, None)
         state = rq.windows.pop(window, None)
         if buffer is not None:
             if state is None:
                 state = rq.processor.make_window_state()
-            for row in buffer.join():
-                state.process(row)
+            joined = buffer.join()
+            while rows := list(islice(joined, _JOIN_SLICE)):
+                state.process_batch(rows)
+        return state
+
+    def _close_window(self, rq: _RunningQuery, window: int) -> WindowResult:
+        rq.tracker.close(window)
+        state = self._take_window_state(rq, window)
         if state is None:
             state = rq.processor.make_window_state()
 

@@ -116,39 +116,19 @@ class WindowGroups:
         self.raw_rows: list[ResultRow] = []
         self.rows_processed = 0
 
-    def process(self, row: Any) -> bool:
-        """Feed one central row (Event or JoinedRow); returns False when
-        the residual predicate rejected it."""
-        p = self._p
-        residual, group_fns, agg_arg_fns, select_fns = p.accessors
-        if residual is not None and not residual(row):
-            return False
-        self.rows_processed += 1
-        if not p.is_aggregating:
-            self.raw_rows.append(
-                ResultRow(tuple(fn(row) for fn in select_fns))
-            )
-            return True
-        key = tuple(_group_key_part(fn(row)) for fn in group_fns)
-        states = self.groups.get(key)
-        if states is None:
-            states = [make_state(agg) for agg in p.agg_calls]
-            self.groups[key] = states
-        for state, arg_fn in zip(states, agg_arg_fns):
-            state.update(arg_fn(row))
-        return True
-
     def process_batch(self, rows: list[Any], accessors: Optional[Accessors] = None) -> list[Any]:
-        """Feed many central rows at once; returns the accepted rows.
+        """Feed central rows (Events, joined rows or wire rows); returns
+        the rows the residual predicate accepted.
 
-        Semantically identical to calling :meth:`process` per row (same
-        update order, so even order-sensitive states like Space-Saving
-        end up byte-identical), but pays the residual predicate, group
+        Semantically identical to feeding one row at a time (same update
+        order per state, so even order-sensitive states like Space-Saving
+        end up byte-identical — ``tests/core/reference_engine.py`` is
+        that per-row loop), but pays the residual predicate, group
         segmentation, and aggregate dispatch per *batch* instead of per
-        event.  The returned list (rows that passed the residual) feeds
-        the engine's per-host estimator accumulation.  *accessors* are
-        the functions that read *rows*: the processor's own for Events,
-        an ``itemgetter`` set from the same compiler for wire rows.
+        event.  The returned list feeds the engine's per-host estimator
+        accumulation.  *accessors* are the functions that read *rows*:
+        the processor's own for Events, an ``itemgetter`` set from the
+        same compiler for wire rows.
         """
         p = self._p
         residual, group_fns, agg_arg_fns, select_fns = accessors or p.accessors

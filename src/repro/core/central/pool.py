@@ -51,8 +51,8 @@ descriptor.  Every respawn gets a fresh generation-tagged ring.  Only
 aggregate states come back pickled, via their flat pickle forms.
 Everything observable — results, stats, coverage, drop/late accounting —
 matches the serial engine exactly in fault-free runs;
-``benchmarks/run_bench.py`` and ``tests/core/test_shard_pool.py`` pin
-that equivalence with supervision enabled, ring and pipe bytes alike.
+``tests/core/test_shard_pool.py`` pins that equivalence with supervision
+enabled, ring and pipe bytes alike.
 """
 
 from __future__ import annotations
@@ -199,14 +199,7 @@ def _collect_window(engine: CentralEngine, query_id: str, window: int):
     if rq is None:
         return ({}, 0, {})
     rq.hosts_by_window.pop(window, None)
-    buffer = rq.join_buffers.pop(window, None)
-    state = rq.windows.pop(window, None)
-    if buffer is not None:
-        if state is None:
-            state = rq.processor.make_window_state()
-        accepted = state.process_batch(buffer.join())
-        if rq.estimable_aggs and accepted:
-            engine._accumulate_host_values_batch(rq, window, accepted)
+    state = engine._take_window_state(rq, window)
     host_values = {}
     per_host = rq.host_acc.pop(window, None)
     if per_host:

@@ -234,12 +234,6 @@ class ResultSet:
             "hosts_quarantined": quarantined,
         }
 
-    def window_starting_at(self, start: float) -> Optional[WindowResult]:
-        for window in self.windows:
-            if window.window_start == start:
-                return window
-        return None
-
     def __len__(self) -> int:
         return len(self.windows)
 

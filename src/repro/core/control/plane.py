@@ -891,8 +891,8 @@ _MISSING = object()
 
 #: The engine counters STATS republishes under ``engine``.
 _ENGINE_STATS = (
-    "batches_received", "events_received", "events_rowed", "events_late", "bytes_received",
-    "windows_emitted", "rows_emitted", "events_shed", "quarantines_reported",
+    "batches_received", "events_received", "events_rowed", "events_late", "seen_counts_late",
+    "bytes_received", "windows_emitted", "rows_emitted", "events_shed", "quarantines_reported",
 )
 
 

@@ -35,7 +35,6 @@ __all__ = [
     "decode_fixed_rows",
     "fixed_row_slots",
     "scan_batch",
-    "scan_batch_shards",
     "encode_value",
     "decode_value",
     "encoded_size_value",
@@ -409,8 +408,8 @@ def decode_event_frames(data: bytes | memoryview, count: int) -> list[Event]:
     """Decode exactly *count* concatenated event frames (no count prefix).
 
     The shard-worker half of the zero-copy ingest path: the parent
-    splices per-shard event frames out of a batch buffer with
-    :func:`scan_batch_shards` and ships the raw bytes; the worker turns
+    splices per-shard event frames out of a batch buffer by
+    :func:`scan_batch`'s extents and ships the raw bytes; the worker turns
     them back into :class:`Event` objects here.  Rejects leftover bytes
     — a mis-sliced shard must fail loudly, never drop events.
     """
@@ -565,24 +564,3 @@ def scan_batch(
     return frames, pos
 
 
-def scan_batch_shards(buf: bytes | memoryview, n: int) -> list[list[memoryview]]:
-    """Partition an encoded batch into per-shard event byte slices.
-
-    Shard assignment is ``request_id % n`` — exactly the ShardPool's
-    object-path partitioning — and each shard's slices keep the batch's
-    arrival order, so decoding shard *i*'s slices yields precisely the
-    events ``decode_batch`` would have routed there, in the same order
-    (the partition-equivalence property tests pin this).  The slices are
-    memoryviews over *buf*: nothing is copied until a shard's slices are
-    joined for the worker pipe.
-    """
-    if n < 1:
-        raise ValueError(f"need at least one shard, got {n}")
-    mv = buf if isinstance(buf, memoryview) else memoryview(buf)
-    frames, end = scan_batch(mv)
-    if end != len(mv):
-        raise ValueError(f"trailing garbage after batch at offset {end}")
-    shards: list[list[memoryview]] = [[] for _ in range(n)]
-    for request_id, _timestamp, _host, start, stop in frames:
-        shards[request_id % n].append(mv[start:stop])
-    return shards

@@ -36,7 +36,6 @@ __all__ = [
     "Query",
     "AGGREGATE_FUNCS",
     "child_exprs",
-    "normalize_expr",
     "unparse",
     "walk_exprs",
 ]
@@ -320,50 +319,6 @@ def walk_exprs(node: Expr) -> Iterator[Expr]:
     yield node
     for child in child_exprs(node):
         yield from walk_exprs(child)
-
-
-def normalize_expr(node: Expr) -> Expr:
-    """Return a canonical structural form of *node*.
-
-    Expressions that compile to identical closures should normalize to
-    equal (and therefore hash-equal) ASTs, so the compilation cache keys
-    on meaning rather than parse shape.  The only rewrite performed is
-    flattening directly nested AND/OR chains — ``AND(a, AND(b, c))`` and
-    ``AND(a, b, c)`` evaluate identically under three-valued logic
-    because AND/OR are variadic here and short-circuit order over the
-    flattened term list is preserved.  Nothing else is reordered or
-    simplified: term order is load-bearing (NULL-propagation tests pin
-    it) and literal folding belongs to the validator, not the cache key.
-    """
-    if isinstance(node, BoolOp):
-        flat: list[Expr] = []
-        for term in node.terms:
-            term = normalize_expr(term)
-            if isinstance(term, BoolOp) and term.op == node.op:
-                flat.extend(term.terms)
-            else:
-                flat.append(term)
-        return BoolOp(node.op, tuple(flat))
-    if isinstance(node, BinaryOp):
-        return BinaryOp(node.op, normalize_expr(node.left), normalize_expr(node.right))
-    if isinstance(node, UnaryOp):
-        return UnaryOp(node.op, normalize_expr(node.operand))
-    if isinstance(node, Comparison):
-        return Comparison(node.op, normalize_expr(node.left), normalize_expr(node.right))
-    if isinstance(node, InList):
-        return InList(normalize_expr(node.expr), node.values, node.negated)
-    if isinstance(node, Between):
-        return Between(
-            normalize_expr(node.expr),
-            normalize_expr(node.low),
-            normalize_expr(node.high),
-            node.negated,
-        )
-    if isinstance(node, IsNull):
-        return IsNull(normalize_expr(node.expr), node.negated)
-    if isinstance(node, AggregateCall) and node.arg is not None:
-        return AggregateCall(node.func, normalize_expr(node.arg), node.k, node.q)
-    return node
 
 
 # -- unparser -----------------------------------------------------------------

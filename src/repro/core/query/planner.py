@@ -110,10 +110,6 @@ class HostQueryObject:
     #: mode; see DESIGN.md §7).
     aggregation: Optional[HostAggregationSpec] = None
 
-    @property
-    def selects_everything(self) -> bool:
-        return self.predicate is None
-
 
 @dataclass(frozen=True)
 class CentralQueryObject:

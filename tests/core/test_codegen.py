@@ -271,8 +271,8 @@ class TestCodegenClosureEquivalence:
 
 # -- the benchmark's armed shapes ------------------------------------------------
 
-#: benchmarks/run_bench.py's six fast-path regimes: (name, buffer
-#: capacity, queries, events logged before the stream starts).
+#: E12's six fast-path regimes (benchmarks/test_perf_fastpath.py): (name,
+#: buffer capacity, queries, events logged before the stream starts).
 BENCH_SCENARIOS = [
     ("disabled_probe", 1_000_000, ["select COUNT(*) from click;"], 0),
     ("selection_rejects", 1_000_000,
@@ -299,8 +299,8 @@ _DIFF_PAYLOADS = [
     ids=[s[0] for s in BENCH_SCENARIOS],
 )
 def test_bench_scenarios_agree_on_every_route(registry, capacity, queries, prefill):
-    """The check ``run_bench.py`` used to make against a closure-only
-    agent: each benchmark regime, replayed with pinned timestamps."""
+    """Every route agrees on each regime E12 times, replayed with pinned
+    timestamps."""
     outcomes = []
     for route in ROUTES:
         agent, transport = _agent(

@@ -53,7 +53,6 @@ from repro.core.query.ast import (
     IsNull,
     Literal,
     UnaryOp,
-    normalize_expr,
 )
 from repro.core.query.codegen import (
     compile_expr as generate_expr,
@@ -262,21 +261,6 @@ def test_predicate_is_definitely_true_semantics(expr, row):
         return  # all paths raise; covered by the differential property
     assert predicate(row) is (outcome[1] is True)
     assert generated(row) is (outcome[1] is True)
-
-
-@settings(max_examples=200, deadline=None, derandomize=True)
-@given(expr=expressions, row=rows)
-def test_normalize_preserves_semantics(expr, row):
-    """AST normalization (nested AND/OR flattening) must never change
-    what an expression evaluates to."""
-    normalized = normalize_expr(expr)
-    original = compile_expr(expr, _getter)
-    flattened = compile_expr(normalized, _getter)
-    generated = generate_expr(normalized, ROWS)
-    outcome = _outcome(lambda: original(row))
-    assert _outcome(lambda: flattened(row)) == outcome
-    assert _outcome(lambda: generated(row)) == outcome
-    assert normalize_expr(normalized) == normalized  # idempotent
 
 
 # -- every other row shape ---------------------------------------------------------

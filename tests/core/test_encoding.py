@@ -22,7 +22,7 @@ from repro.core.events.encoding import (
     encode_json,
     encoded_size_batch,
     encoded_size_event,
-    scan_batch_shards,
+    scan_batch,
 )
 
 
@@ -112,12 +112,22 @@ class TestBatchEncoding:
 # clobbering) is guaranteed to surface symmetrically.
 
 
+def _scan_whole(buf: bytes) -> list:
+    """`scan_batch` over a buffer that is the batch and nothing else: it
+    reports where the batch ended (a full-batch frame carries on from
+    there), so a caller that owns the whole buffer checks it got there."""
+    frames, end = scan_batch(buf)
+    if end != len(buf):
+        raise ValueError(f"trailing garbage after batch at offset {end}")
+    return frames
+
+
 def _raises_identically(buf: bytes) -> None:
     """Both paths must reject *buf* with the same error type and text."""
     with pytest.raises(ValueError) as decode_err:
         decode_batch(buf)
     with pytest.raises(ValueError) as scan_err:
-        scan_batch_shards(buf, 3)
+        _scan_whole(buf)
     assert str(scan_err.value) == str(decode_err.value)
 
 
@@ -216,7 +226,7 @@ class TestTornFrames:
         buf = encode_batch(self.BATCH)
         for cut in range(4, len(buf)):
             with pytest.raises(ValueError):
-                scan_batch_shards(buf[:cut], 2)
+                scan_batch(buf[:cut])
 
 
 # -- property-based round trips ---------------------------------------------------

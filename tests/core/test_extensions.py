@@ -80,6 +80,37 @@ class TestSlidingWindowExecution:
         # Overlap means total counted observations exceed events emitted.
         assert sum(by_start.values()) > 20
 
+    def test_healthy_sliding_run_reports_nothing_late_and_holds_no_seen_state(self):
+        """Agents key ``seen_counts`` by window *length* (at t = 1 000,
+        window 100); the tracker of a SLIDE query counts slide steps
+        (window 200, with 198 closed).  Reading one as the other called
+        every healthy flush late — and before that was checked, kept a
+        ``host_acc`` / ``hosts_by_window`` entry per flush that no close
+        ever freed."""
+        clock = ManualClock()
+        clock.set(1_000.0)
+        scrub = Scrub(clock=clock, grace_seconds=1.0)
+        scrub.define_event("bid", [("user_id", "long")])
+        hosts = [scrub.add_host("h0"), scrub.add_host("h1")]
+        handle = scrub.submit("select COUNT(*) from bid window 10s slide 5s duration 60s;")
+        rq = scrub.central._queries[handle.query_id]
+        for t in range(1_000, 1_060):
+            clock.set(float(t))
+            for host in hosts:
+                host.log("bid", user_id=1, request_id=t)
+            scrub.tick()
+            assert not rq.host_acc
+            assert set(rq.hosts_by_window) <= set(rq.tracker.open_windows)
+        clock.set(1_061.0)
+        results = scrub.finish(handle.query_id)
+        assert len(results.windows) > 10
+        assert [w.late_events for w in results.windows] == [0] * len(results.windows)
+        stats = scrub.central.stats
+        assert stats.events_received == 120
+        assert (stats.events_late, stats.seen_counts_late) == (0, 0)
+        full = [w for w in results.windows if 1_000.0 <= w.window_start <= 1_050.0]
+        assert full and all(w.rows[0][0] == 20 for w in full)
+
     def test_sampled_sliding_query_has_no_estimates(self):
         """Eqs. 1-3 estimation stays tumbling-only."""
         clock = ManualClock()

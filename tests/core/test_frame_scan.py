@@ -1,9 +1,10 @@
 """Differential tests for the zero-copy frame scanner.
 
-`scan_batch_shards` must be *provably* interchangeable with
-decode-then-partition: for any encoded batch, slicing by byte extents
-and decoding per shard yields exactly the events `decode_batch` would
-have routed there via ``request_id % n`` — same events, same order
+Partitioning `scan_batch`'s index by ``request_id % n`` — the rule
+`ShardPool.ingest_frame` applies inline — must be *provably*
+interchangeable with decode-then-partition: for any encoded batch,
+slicing by byte extents and decoding per shard yields exactly the
+events `decode_batch` would have routed there — same events, same order
 within a shard — and `scan_batch` reads the same header fields
 (request id, timestamp, host) the decoded events carry.  This is the
 correctness wall the ShardPool's frame ingest stands behind
@@ -31,7 +32,6 @@ from repro.core.events.encoding import (
     encode_batch,
     encode_binary,
     scan_batch,
-    scan_batch_shards,
 )
 
 # Arbitrary nested payloads, same shape as the codec round-trip suite.
@@ -78,12 +78,23 @@ def _partition_by_decode(events: list[Event], n: int) -> list[list[Event]]:
     return shards
 
 
+def _shard_slices(buf: bytes, n: int) -> list[list[bytes]]:
+    """The pool's partition, literally: each scanned extent goes to shard
+    ``request_id % n``, in arrival order."""
+    frames, end = scan_batch(buf)
+    assert end == len(buf)
+    shards: list[list[bytes]] = [[] for _ in range(n)]
+    for request_id, _timestamp, _host, start, stop in frames:
+        shards[request_id % n].append(buf[start:stop])
+    return shards
+
+
 @settings(max_examples=150, deadline=None)
 @given(events=_events, n=st.integers(min_value=1, max_value=5))
 def test_shard_slices_equal_decode_then_partition(events, n):
     buf = encode_batch(events)
     expected = _partition_by_decode(decode_batch(buf), n)
-    sliced = scan_batch_shards(buf, n)
+    sliced = _shard_slices(buf, n)
     assert len(sliced) == n
     for shard_slices, shard_events in zip(sliced, expected):
         payload = b"".join(shard_slices)
@@ -114,29 +125,32 @@ def test_scan_reads_the_same_headers_the_decoder_does(events):
 class TestDirected:
     def test_empty_batch(self):
         buf = encode_batch([])
-        assert scan_batch_shards(buf, 3) == [[], [], []]
         assert scan_batch(buf) == ([], len(buf))
 
     def test_single_event(self):
         event = Event("bid", {"price": 1.25}, 41, 7.0, "h1")
-        shards = scan_batch_shards(encode_batch([event]), 4)
+        shards = _shard_slices(encode_batch([event]), 4)
         assert [len(s) for s in shards] == [0, 1, 0, 0]
-        assert decode_event_frames(bytes(shards[1][0]), 1) == [event]
-        assert bytes(shards[1][0]) == encode_binary(event)
+        assert decode_event_frames(shards[1][0], 1) == [event]
+        assert shards[1][0] == encode_binary(event)
 
     def test_one_shard_gets_everything(self):
         events = [Event("bid", {"i": i}, i * 7 - 3, float(i), "h") for i in range(9)]
-        (shard,) = scan_batch_shards(encode_batch(events), 1)
+        (shard,) = _shard_slices(encode_batch(events), 1)
         assert decode_event_frames(b"".join(shard), len(shard)) == events
 
-    def test_zero_shards_rejected(self):
-        with pytest.raises(ValueError, match="at least one shard"):
-            scan_batch_shards(encode_batch([]), 0)
-
     def test_trailing_garbage_rejected(self):
-        buf = encode_batch([Event("bid", {}, 1, 0.0, "h")]) + b"!"
-        with pytest.raises(ValueError, match="trailing garbage"):
-            scan_batch_shards(buf, 2)
+        """`scan_batch` may sit mid-buffer, so it reports where the batch
+        ended; the full-batch scanner, which owns the whole frame, rejects
+        leftover bytes like its decoder."""
+        buf = encode_batch([Event("bid", {}, 1, 0.0, "h")])
+        assert scan_batch(buf + b"!")[1] == len(buf)
+        data = encode_full_batch(EventBatch(host="h", query_id="q", events=[])) + b"!"
+        with pytest.raises(ValueError, match="trailing") as full_err:
+            decode_full_batch(data)
+        with pytest.raises(ValueError) as scan_err:
+            scan_full_batch(data)
+        assert str(scan_err.value) == str(full_err.value)
 
     @pytest.mark.parametrize("stamp", [float("inf"), float("-inf"), float("nan")])
     def test_non_finite_timestamp_rejected_like_the_decoder(self, stamp):
@@ -144,10 +158,9 @@ class TestDirected:
         buf = encode_batch(events)
         with pytest.raises(ValueError, match="non-finite timestamp") as decode_err:
             decode_batch(buf)
-        for scan in (scan_batch, lambda b: scan_batch_shards(b, 2)):
-            with pytest.raises(ValueError) as scan_err:
-                scan(buf)
-            assert str(scan_err.value) == str(decode_err.value)
+        with pytest.raises(ValueError) as scan_err:
+            scan_batch(buf)
+        assert str(scan_err.value) == str(decode_err.value)
         data = encode_full_batch(EventBatch(host="h", query_id="q", events=events))
         with pytest.raises(ValueError, match="non-finite timestamp") as full_err:
             decode_full_batch(data)
@@ -156,11 +169,15 @@ class TestDirected:
         assert str(scan_err.value) == str(full_err.value)
 
     def test_slices_are_views_not_copies(self):
-        buf = encode_batch([Event("bid", {"a": 1}, 0, 0.0, "h")])
-        (shard, _) = scan_batch_shards(buf, 2)
-        view = shard[0]
-        assert isinstance(view, memoryview)
-        assert view.obj is buf
+        """The pool copies each extent once, from the frame it was handed
+        into a worker's ring: the scan result holds a view of that frame."""
+        data = encode_full_batch(
+            EventBatch(host="h", query_id="q", events=[Event("bid", {"a": 1}, 0, 0.0, "h")])
+        )
+        enc = scan_full_batch(data)
+        assert isinstance(enc.data, memoryview) and enc.data.obj is data
+        ((_rid, _ts, _host, start, stop),) = enc.frames
+        assert enc.data[start:stop].obj is data
 
 
 # -- full-batch scan ----------------------------------------------------------

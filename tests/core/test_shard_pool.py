@@ -360,7 +360,7 @@ def test_losses_with_no_window_open_land_on_the_window_seen_counts_names(workers
         assert engine._queries["q1"].tracker.open_windows == (4,)
         (gap,) = engine.advance(400.0)
         assert (gap.window_start, gap.host_dropped, gap.host_shed) == (240.0, 5, 3)
-        # A named window that has closed is not reopened and not "late".
+        # A named window that has closed is not reopened, and no event is late.
         deliver(events=[], seen_counts={("bid", 4): 1}, dropped=1)
         rq = engine._queries["q1"]
         assert rq.tracker.open_windows == ()
@@ -369,6 +369,76 @@ def test_losses_with_no_window_open_land_on_the_window_seen_counts_names(workers
     finally:
         if workers:
             engine.close()
+
+
+@pytest.mark.parametrize("door", ["ingest", "ingest_frame"])
+@pytest.mark.parametrize("workers", [0, 2], ids=["serial", "pool2"])
+def test_seen_counts_naming_closed_windows_hold_no_state(workers, door):
+    """A flush carried over an outage (`SocketTransport._carry_seen`), or
+    a peer naming old windows, reports M_i for windows that will never
+    close again.  Each such entry used to leave a `host_acc` window, an
+    accumulator per host and a `hosts_by_window` set behind for the life
+    of the query, uncounted."""
+    engine = ShardPool(workers=workers, grace_seconds=1.0) if workers else CentralEngine(1.0)
+
+    def deliver(host="h1", **batch):
+        batch = EventBatch(host=host, query_id="q1", **batch)
+        if door == "ingest":
+            engine.ingest(batch)
+        else:
+            engine.ingest_frame(encode_full_batch(batch))
+
+    try:
+        engine.register(
+            _plan("select COUNT(*), SUM(bid.bid_price) from bid window 60s sample events 50%;",
+                  _registry()).central_object
+        )
+        deliver(events=[Event("bid", _PAYLOAD, 1, 610.0, "h1")], seen_counts={("bid", 10): 2})
+        engine.advance(700.0)  # closes window 10 and, with it, all before
+        deliver(events=[Event("bid", _PAYLOAD, 2, 730.0, "h1")], seen_counts={("bid", 12): 2})
+        rq = engine._queries["q1"]
+        held = (len(rq.host_acc), len(rq.hosts_by_window))
+        assert held == (1, 1)  # the open window 12
+        for i in range(1_000):
+            deliver(host=f"h{i % 2}", events=[], seen_counts={("bid", i % 11): 1 + i})
+        assert (len(rq.host_acc), len(rq.hosts_by_window)) == held
+        assert engine.stats.seen_counts_late == 1_000 and engine.stats.events_late == 0
+        # The next window to close says how many reports came too late for theirs.
+        (window,) = engine.advance(800.0)
+        assert (window.window_start, window.late_events) == (720.0, 1_000)
+        assert window.estimates["COUNT(*)"].estimate == 2
+    finally:
+        if workers:
+            engine.close()
+
+
+def test_pool_joins_without_a_residual_predicate():
+    """A worker joins its shard of a window when the parent asks for it;
+    with no cross-type predicate to filter the joined rows it handed the
+    group loop a generator, and the close failed on `len()`."""
+    registry = _registry()
+    registry.define("exclusion", [("reason", "string")])
+    plan = _plan(
+        "select exclusion.reason, COUNT(*), SUM(bid.bid_price) from bid, exclusion "
+        "window 60s group by exclusion.reason;", registry,
+    )
+    assert plan.central_object.residual_predicate is None
+    events = [Event("bid", {**_PAYLOAD, "bid_price": (rid % 8) * 0.25}, rid, 5.0, "h1")
+              for rid in range(40)]
+    events += [Event("exclusion", {"reason": f"r{rid % 3}"}, rid, 6.0, "h2")
+               for rid in range(0, 40, 2) for _copy in range(1 + rid % 3)]
+    signatures = []
+    for engine in (CentralEngine(1.0), ShardPool(workers=2, grace_seconds=1.0)):
+        try:
+            engine.register(plan.central_object)
+            engine.ingest(EventBatch(host="h1", query_id="q1", events=events[:40]))
+            engine.ingest(EventBatch(host="h2", query_id="q1", events=events[40:]))
+            signatures.append(_signature(engine.finish("q1")))
+        finally:
+            if isinstance(engine, ShardPool):
+                engine.close()
+    assert signatures[0] == signatures[1]
+    assert '"r0"' in signatures[0]
 
 
 def test_pool_workers_1_vs_4_identical():
