@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass
 
 from ..cluster.runtime import SimCluster
-from ..core.agent.transport import EventBatch
+from ..core.agent.transport import EventBatch, _read_full_batch_header, decode_full_batch
 from ..core.events import Event
 from ..core.events.encoding import encode_json
 from ..core.query.planner import HostQueryObject
@@ -77,15 +77,15 @@ class LoggingBaseline:
         self.store = store if store is not None else LogStore()
         self._installed = False
         self._flush_interval = flush_interval
-        # Divert LOG_ALL batches before they reach the query engine.
-        self._orig_ingest = cluster.central.ingest
-        cluster.central.ingest = self._dispatch  # type: ignore[method-assign]
+        # Divert LOG_ALL frames before they reach the query engine.
+        self._orig_ingest_frame = cluster.central.ingest_frame
+        cluster.central.ingest_frame = self._dispatch  # type: ignore[method-assign]
 
-    def _dispatch(self, batch: EventBatch) -> None:
-        if batch.query_id == LOG_ALL_QUERY_ID:
-            self.store.ingest(batch)
+    def _dispatch(self, frame: bytes) -> None:
+        if _read_full_batch_header(memoryview(frame))[1] == LOG_ALL_QUERY_ID:
+            self.store.ingest(decode_full_batch(frame))
         else:
-            self._orig_ingest(batch)
+            self._orig_ingest_frame(frame)
 
     def install(self) -> None:
         """Arm the catch-all collection on every host, every event type."""

@@ -35,8 +35,8 @@ CENTRAL_DATACENTER = "scrub-central"
 
 
 class SimTransport:
-    """Per-host transport: ships batches over the simulated network to
-    ScrubCentral, which ingests them on delivery."""
+    """Per-host transport: ships each batch's frame over the simulated
+    network to ScrubCentral, which ingests it on delivery."""
 
     def __init__(
         self,
@@ -53,11 +53,11 @@ class SimTransport:
         self.bytes_sent = 0
 
     def send(self, batch: EventBatch) -> None:
-        size = batch.wire_size()
+        frame = batch.frame
         self.batches_sent += 1
-        self.bytes_sent += size
+        self.bytes_sent += len(frame)
         self._network.deliver(
-            self._source_dc, self._central_dc, size, self._central.ingest, batch
+            self._source_dc, self._central_dc, len(frame), self._central.ingest_frame, frame
         )
 
 

@@ -45,9 +45,9 @@ from typing import Any, Callable, Mapping, Optional
 
 from ..central.aggregates import AggregateState, make_state
 from ..central.groupby import _group_key_part
-from ..events import Event, EventRegistry
+from ..events import EventRegistry
 from ..events.decorators import schema_of
-from ..events.event import _rebuild_event
+from ..events.encoding import FixedPackers
 from ..query.codegen import (
     ArmedQuery,
     build_entry,
@@ -59,7 +59,7 @@ from ..query.planner import HostQueryObject
 from .buffer import BoundedBuffer
 from .governor import TIMING_SAMPLE_EVERY, ImpactBudget, QueryGovernor
 from .sampling import EventSampler
-from .transport import EventBatch, PartialAggregate, Transport
+from .transport import EventBatch, PartialAggregate, Transport, write_batch
 
 __all__ = ["ScrubAgent", "AgentStats", "QueryStats"]
 
@@ -94,6 +94,8 @@ class AgentStats:
     queries_quarantined: int = 0  # governor auto-uninstalls on this host
     batches_flushed: int = 0
     bytes_shipped: int = 0
+    events_unencodable: int = 0  # buffered events the frame writer refused
+    partials_unencodable: int = 0  # host partial aggregates it refused
 
 
 class _InstalledQuery:
@@ -101,6 +103,8 @@ class _InstalledQuery:
 
     __slots__ = (
         "spec",
+        "event_type",
+        "host",
         "project_fields",
         "sampler",
         "sample_always",
@@ -129,6 +133,9 @@ class _InstalledQuery:
         expires_at: float,
     ) -> None:
         self.spec = spec
+        #: A buffered row's source: the frame writer reads these two.
+        self.event_type = spec.event_type
+        self.host = host
         self.project_fields: Optional[tuple[str, ...]] = (
             None if keep_all_fields else spec.projection
         )
@@ -268,8 +275,8 @@ class ScrubAgent:
         if self._timing_every < 1:
             raise ValueError("timing_sample_every must be >= 1")
         #: Buffered ship records: ``(iq, payload, request_id, timestamp)``.
-        #: No ``Event`` exists until flush materializes the batch — event
-        #: construction is paid off the application's hot path.
+        #: No ``Event`` is ever built for them: ``flush()`` writes each
+        #: batch's wire frame straight from these rows.
         self._buffer: BoundedBuffer[tuple[_InstalledQuery, dict, int, float]] = (
             BoundedBuffer(buffer_capacity)
         )
@@ -303,6 +310,9 @@ class ScrubAgent:
         self._lock_acquire = self._lock.acquire
         self._lock_release = self._lock.release
         self.stats = AgentStats()
+        #: Fixed-layout packers for this host's frames (bounded; counts
+        #: its evictions).
+        self.packers = FixedPackers()
 
     # -- query lifecycle -------------------------------------------------------
 
@@ -748,22 +758,22 @@ class ScrubAgent:
         transport.  Also emits empty 'heartbeat' batches for queries with
         pending seen/drop/shed counters (or a quarantine notice) so the
         central estimator learns M_i even when sampling shipped nothing.
-        Batches are built under the agent lock — counters move from the
-        tables into exactly one batch — and sent outside it.  Returns
-        batches sent."""
+
+        Counters move from the tables into exactly one batch under the
+        agent lock; each batch's wire frame is then written outside it,
+        in one pass over the drained rows (no ``Event`` is built), and
+        the governor and ``bytes_shipped`` are charged its length.  A
+        buffered event whose values cannot be written is refused —
+        counted dropped for its query and in ``events_unencodable`` —
+        and so is a host partial aggregate (``partials_unencodable``),
+        instead of raising into the caller.  Returns batches sent."""
         if now is None:
             now = self.clock()
-        batches: list[EventBatch] = []
+        pending: list[tuple] = []
         with self._lock:
-            drained = self._buffer.drain()
-            by_query: dict[str, list[Event]] = {}
-            host = self.host
-            for iq, payload, rid, ts in drained:
-                # Materialize the Event here, off the application's hot
-                # path — log() buffered only (iq, payload, rid, ts).
-                by_query.setdefault(iq.spec.query_id, []).append(
-                    _rebuild_event(iq.spec.event_type, payload, rid, ts, host)
-                )
+            by_query: dict[str, list] = {}
+            for row in self._buffer.drain():
+                by_query.setdefault(row[0].spec.query_id, []).append(row)
 
             # Roll governors first: the previous interval is judged before
             # this flush's bytes are charged to the new one.
@@ -773,7 +783,7 @@ class ScrubAgent:
                     self._note_quarantine(query_id, reason, now)
 
             for query_id, installed in list(self._queries.items()):
-                events = by_query.pop(query_id, [])
+                rows = by_query.pop(query_id, [])
                 seen: dict[tuple[str, int], int] = {}
                 dropped = 0
                 shed = 0
@@ -798,7 +808,7 @@ class ScrubAgent:
                         partials.extend(iq.drain_partials(cutoff))
                 quarantined = self._pending_quarantine.pop(query_id, "")
                 if (
-                    not events
+                    not rows
                     and not seen
                     and not dropped
                     and not shed
@@ -806,34 +816,50 @@ class ScrubAgent:
                     and not quarantined
                 ):
                     continue
-                batch = EventBatch(
-                    host=self.host,
-                    query_id=query_id,
-                    events=events,
-                    seen_counts=seen,
-                    dropped=dropped,
-                    sent_at=now,
-                    partials=partials,
-                    shed=shed,
-                    quarantined=quarantined,
-                )
-                nbytes = batch.wire_size()
-                gov = self._governors.get(query_id)
-                if gov is not None:
-                    gov.charge(0.0, nbytes)
-                self.stats.batches_flushed += 1
-                self.stats.bytes_shipped += nbytes
-                batches.append(batch)
+                pending.append((query_id, rows, seen, dropped, shed, partials, quarantined))
             # Events for queries uninstalled between buffering and draining.
-            for query_id, events in by_query.items():
-                batch = EventBatch(
-                    host=self.host, query_id=query_id, events=events, sent_at=now
-                )
-                self.stats.batches_flushed += 1
-                self.stats.bytes_shipped += batch.wire_size()
-                batches.append(batch)
+            for query_id, rows in by_query.items():
+                pending.append((query_id, rows, {}, 0, 0, [], ""))
             if self._expire(now):
                 self._rebuild_routes()
+
+        batches: list[EventBatch] = []
+        refused: list = []
+        partials_refused = 0
+        for query_id, rows, seen, dropped, shed, partials, quarantined in pending:
+            batch, lost = write_batch(
+                self.host,
+                query_id,
+                now,
+                rows,
+                dropped=dropped,
+                shed=shed,
+                quarantined=quarantined,
+                seen_counts=seen,
+                partials=partials,
+                packers=self.packers,
+            )
+            refused += lost
+            if batch is None:
+                partials_refused += len(partials)
+            else:
+                partials_refused += len(partials) - len(batch.partials)
+                batches.append(batch)
+        with self._lock:
+            stats = self.stats
+            for batch in batches:
+                nbytes = len(batch.frame)
+                gov = self._governors.get(batch.query_id)
+                if gov is not None:
+                    gov.charge(0.0, nbytes)
+                stats.batches_flushed += 1
+                stats.bytes_shipped += nbytes
+            for (iq, *_), _exc in refused:
+                iq.stats.shipped -= 1
+                iq.stats.dropped += 1
+            stats.events_shipped -= len(refused)
+            stats.events_unencodable += len(refused)
+            stats.partials_unencodable += partials_refused
         for batch in batches:
             self.transport.send(batch)
         return len(batches)

@@ -3,8 +3,9 @@
 In production Scrub ships events over a messaging substrate; here the
 transport is a small interface with several implementations:
 
-* :class:`DirectTransport` — hands batches straight to a sink callable
-  (ScrubCentral's ``ingest``); used for in-process runs and tests.
+* :class:`DirectTransport` — hands each batch's frame straight to a sink
+  callable (ScrubCentral's ``ingest_frame``); used for in-process runs
+  and tests.
 * :class:`RecordingTransport` — retains batches for inspection.
 * ``repro.live.transport.SocketTransport`` — ships batches over TCP to
   a standalone ``scrubd`` daemon (the real-deployment mode).
@@ -17,16 +18,18 @@ counters (M_i) and drop counts the central estimator needs.
 This module also owns the **full-batch wire codec**: a lossless binary
 encoding of an entire :class:`EventBatch` — events, seen counts, drop
 counter, send timestamp, and host-side partial aggregates — layered on
-the primitives of ``events/encoding.py``.  ``wire_size()`` is exactly
-``len(encode_full_batch(batch))``, so every byte-accounting path (agent
-stats, transports, the central engine, the simulated network) reports
-what a host would really put on the wire.
+the primitives of ``events/encoding.py``.  The agent's ``flush()``
+writes each batch's frame once, with :func:`write_batch`, straight from
+its buffered payloads; every byte count (agent stats, the governor,
+transports, the central engine, the simulated network) is the length
+of that frame.  No :class:`Event` is built on the way out: a batch's
+``events`` are decoded from its frame only when something reads them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Callable, Optional, Protocol
+from dataclasses import dataclass
+from typing import Any, Callable, Iterable, Optional, Protocol
 
 from ..events import Event
 from ..events.encoding import (
@@ -35,15 +38,14 @@ from ..events.encoding import (
     _U32,
     _read_str,
     _read_value,
-    _str_size,
     _truncated,
     _write_str,
     _write_value,
+    UNENCODABLE,
+    FixedPackers,
     FixedRows,
     decode_fixed_rows,
-    encode_batch_into,
-    encoded_size_batch,
-    encoded_size_value,
+    encode_rows_into,
     scan_batch,
 )
 from ..events.encoding import _decode_binary_at
@@ -52,6 +54,7 @@ __all__ = [
     "DirectTransport",
     "EncodedBatch",
     "EventBatch",
+    "MAX_FRAME_BYTES",
     "PartialAggregate",
     "RecordingTransport",
     "Transport",
@@ -59,9 +62,12 @@ __all__ = [
     "decode_full_batch_rows",
     "encode_full_batch",
     "encode_full_batch_into",
-    "full_batch_wire_size",
     "scan_full_batch",
+    "write_batch",
 ]
+
+#: Largest message a wire frame may carry (message type byte included).
+MAX_FRAME_BYTES = 64 * 1024 * 1024
 
 
 @dataclass(frozen=True)
@@ -79,39 +85,118 @@ class PartialAggregate:
     values: tuple
 
 
-@dataclass
 class EventBatch:
-    """One flush from one host for one query."""
+    """One flush from one host for one query.
 
-    host: str
-    query_id: str
-    events: list[Event]
-    #: (event_type, window_index) -> events that matched selection on this
-    #: host since the previous flush (the estimator's M_i, per window).
-    seen_counts: dict[tuple[str, int], int] = field(default_factory=dict)
-    #: Events dropped on the host since the previous flush (buffer full).
-    dropped: int = 0
-    sent_at: float = 0.0
-    #: Pre-aggregated partials (AGGREGATE ON HOSTS mode only).
-    partials: list["PartialAggregate"] = field(default_factory=list)
-    #: Matched events the impact governor shed (drop-with-count) since
-    #: the previous flush — distinct from ``dropped``: shed events never
-    #: reached the buffer, and the estimator widens bounds by their
-    #: fraction rather than treating them as random sampling.
-    shed: int = 0
-    #: Structured reason when the governor quarantined (auto-uninstalled)
-    #: this query on this host; empty while the query is healthy.  Rides
-    #: the flush that reports the quarantine, exactly once.
-    quarantined: str = ""
+    Besides the sampled events, a batch carries ``seen_counts`` —
+    ``(event_type, window_index) -> events that matched selection`` on
+    this host since the previous flush (the estimator's M_i) —
+    ``dropped`` (events lost on the host: a full buffer, a transport
+    outage, a value the writer refused), ``shed`` (matched events the
+    impact governor dropped-with-count; the estimator widens bounds by
+    their fraction rather than treating them as random sampling),
+    ``partials`` (AGGREGATE ON HOSTS mode only) and ``quarantined``
+    (the governor's structured reason, on the one flush that reports
+    it).
 
-    def wire_size(self) -> int:
-        """Encoded size in bytes — what the host actually ships.
+    A batch is either built from :class:`Event` objects (tests, the
+    central's decoders), or written by :func:`write_batch` as a wire
+    frame: its ``events`` are then decoded from that frame on first
+    read.  ``frame`` is the full-batch wire encoding either way (a batch
+    decoded from ``bytes`` keeps them); ``event_count`` never decodes.
+    A frame is never rewritten, so nothing may change a batch that has
+    one.
+    """
 
-        Exactly ``len(encode_full_batch(self))``, computed arithmetically
-        (the ingest hot path charges this per batch; encoding the whole
-        batch just to measure it was the single largest per-batch cost).
-        """
-        return full_batch_wire_size(self)
+    __slots__ = (
+        "host",
+        "query_id",
+        "_events",
+        "seen_counts",
+        "dropped",
+        "sent_at",
+        "partials",
+        "shed",
+        "quarantined",
+        "_frame",
+        "_count",
+    )
+
+    def __init__(
+        self,
+        host: str,
+        query_id: str,
+        events: Optional[list[Event]] = None,
+        seen_counts: Optional[dict[tuple[str, int], int]] = None,
+        dropped: int = 0,
+        sent_at: float = 0.0,
+        partials: Optional[list["PartialAggregate"]] = None,
+        shed: int = 0,
+        quarantined: str = "",
+        *,
+        frame: Optional[bytes] = None,
+        event_count: int = 0,
+    ) -> None:
+        self.host = host
+        self.query_id = query_id
+        self._events = [] if events is None and frame is None else events
+        self.seen_counts = {} if seen_counts is None else seen_counts
+        self.dropped = dropped
+        self.sent_at = sent_at
+        self.partials = [] if partials is None else partials
+        self.shed = shed
+        self.quarantined = quarantined
+        self._frame = frame
+        self._count = event_count
+
+    @property
+    def events(self) -> list[Event]:
+        if self._events is None:
+            self._events = decode_full_batch(self._frame).events
+        return self._events
+
+    @property
+    def event_count(self) -> int:
+        return self._count if self._events is None else len(self._events)
+
+    @property
+    def frame(self) -> bytes:
+        """The full-batch wire frame: the one :func:`write_batch` wrote,
+        or — for a batch built from events — written on first read and
+        kept.  Raises what the writer refused in such a batch."""
+        if self._frame is None:
+            rows = [(e, e.payload, e.request_id, e.timestamp) for e in self._events]
+            frame, refused, kept = _write_frame(
+                self.host, self.query_id, self.sent_at, rows, self.dropped, self.shed,
+                self.quarantined, self.seen_counts, self.partials, FixedPackers(),
+            )
+            if refused:
+                raise refused[0][1]
+            if len(kept) != len(self.partials):
+                raise ValueError(f"unwritable partial aggregate in batch {self!r}")
+            self._frame = frame
+        return self._frame
+
+    def _fields(self) -> tuple:
+        return (
+            self.host, self.query_id, self.events, self.seen_counts, self.dropped,
+            self.sent_at, self.partials, self.shed, self.quarantined,
+        )
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, EventBatch):
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __repr__(self) -> str:
+        return (
+            f"EventBatch(host={self.host!r}, query_id={self.query_id!r}, "
+            f"events={self.event_count}, seen_counts={self.seen_counts!r}, "
+            f"dropped={self.dropped}, shed={self.shed}, "
+            f"quarantined={self.quarantined!r})"
+        )
 
 
 # -- full-batch wire codec -----------------------------------------------------
@@ -131,59 +216,121 @@ class EventBatch:
 
 _FULL_BATCH_VERSION = 2
 
+def write_batch(
+    host: str,
+    query_id: str,
+    sent_at: float,
+    rows: Iterable[tuple] = (),
+    *,
+    dropped: int = 0,
+    shed: int = 0,
+    quarantined: str = "",
+    seen_counts: Optional[dict[tuple[str, int], int]] = None,
+    partials: Optional[list[PartialAggregate]] = None,
+    packers: Optional[FixedPackers] = None,
+) -> tuple[Optional[EventBatch], list]:
+    """Write one batch's frame in one pass over *rows* — the agent's
+    buffered ``(source, payload, request_id, timestamp)`` tuples (see
+    :func:`~repro.core.events.encoding.encode_rows_into`).
 
-def encode_full_batch_into(out: bytearray, batch: EventBatch) -> None:
-    """Append an :class:`EventBatch`'s full wire encoding to *out*.
+    *packers* caches layouts across calls (the agent keeps one).
+    Returns the batch, carrying its frame, and the rows refused: a row
+    whose values cannot be written is left out and counted in the
+    frame's ``dropped``; a frame over :data:`MAX_FRAME_BYTES` keeps its
+    counters and refuses every row.  A partial aggregate that cannot be
+    written is left out too, and counted in ``dropped`` as one lost
+    event (its events are not known); the batch's ``partials`` are the
+    ones its frame holds.  The batch is ``None`` — every row refused,
+    nothing to ship — only when the counters themselves cannot be
+    written (a window index outside int64)."""
+    seen_counts = {} if seen_counts is None else seen_counts
+    partials = [] if partials is None else partials
+    packers = FixedPackers() if packers is None else packers
+    rows = rows if isinstance(rows, list) else list(rows)
+    try:
+        frame, refused, kept = _write_frame(
+            host, query_id, sent_at, rows, dropped, shed, quarantined, seen_counts,
+            partials, packers,
+        )
+        if len(frame) >= MAX_FRAME_BYTES:
+            # Too big to send: the counters go, every row counted dropped.
+            refused = [(row, None) for row in rows]
+            frame, _, kept = _write_frame(
+                host, query_id, sent_at, [], dropped + len(rows), shed, quarantined,
+                seen_counts, partials, packers,
+            )
+    except UNENCODABLE:
+        return None, [(row, None) for row in rows]
+    batch = EventBatch(
+        host, query_id, None, seen_counts,
+        dropped + len(refused) + len(partials) - len(kept), sent_at, kept, shed,
+        quarantined, frame=frame, event_count=len(rows) - len(refused),
+    )
+    return batch, refused
 
-    The zero-alloc flush path: a transport writes every batch into one
-    reusable buffer, events included, without intermediate ``bytes``.
-    """
+
+def _write_frame(
+    host: str,
+    query_id: str,
+    sent_at: float,
+    rows: list,
+    dropped: int,
+    shed: int,
+    quarantined: str,
+    seen_counts: dict[tuple[str, int], int],
+    partials: list[PartialAggregate],
+    packers: FixedPackers,
+) -> tuple[bytes, list, list[PartialAggregate]]:
+    """One frame: returns it, the rows refused and the partials kept."""
+    out = bytearray()
     out.append(_FULL_BATCH_VERSION)
-    _write_str(out, batch.host)
-    _write_str(out, batch.query_id)
-    out += _F64.pack(batch.sent_at)
-    out += _I64.pack(batch.dropped)
-    out += _I64.pack(batch.shed)
-    _write_str(out, batch.quarantined)
-    encode_batch_into(out, batch.events)
-    out += _U32.pack(len(batch.seen_counts))
-    for (event_type, window), count in batch.seen_counts.items():
+    _write_str(out, host)
+    _write_str(out, query_id)
+    out += _F64.pack(sent_at)
+    dropped_at = len(out)
+    out += _I64.pack(dropped)
+    out += _I64.pack(shed)
+    _write_str(out, quarantined)
+    count_at = len(out)
+    out += _U32.pack(len(rows))
+    refused = encode_rows_into(out, rows, packers) if rows else []
+    if refused:
+        _U32.pack_into(out, count_at, len(rows) - len(refused))
+    out += _U32.pack(len(seen_counts))
+    for (event_type, window), count in seen_counts.items():
         _write_str(out, event_type)
         out += _I64.pack(window)
         out += _I64.pack(count)
-    out += _U32.pack(len(batch.partials))
-    for partial in batch.partials:
-        _write_str(out, partial.event_type)
-        out += _I64.pack(partial.window)
-        _write_value(out, list(partial.group_key))
-        _write_value(out, list(partial.values))
+    count_at = len(out)
+    out += _U32.pack(len(partials))
+    kept = []
+    for partial in partials:
+        start = len(out)
+        try:
+            _write_str(out, partial.event_type)
+            out += _I64.pack(partial.window)
+            _write_value(out, list(partial.group_key))
+            _write_value(out, list(partial.values))
+        except UNENCODABLE:
+            del out[start:]
+        else:
+            kept.append(partial)
+    if len(kept) != len(partials):
+        _U32.pack_into(out, count_at, len(kept))
+    lost = len(refused) + len(partials) - len(kept)
+    if lost:
+        _I64.pack_into(out, dropped_at, dropped + lost)
+    return bytes(out), refused, kept
+
+
+def encode_full_batch_into(out: bytearray, batch: EventBatch) -> None:
+    """Append an :class:`EventBatch`'s full wire encoding to *out*."""
+    out += batch.frame
 
 
 def encode_full_batch(batch: EventBatch) -> bytes:
     """Encode an :class:`EventBatch` losslessly — metadata and all."""
-    out = bytearray()
-    encode_full_batch_into(out, batch)
-    return bytes(out)
-
-
-def full_batch_wire_size(batch: EventBatch) -> int:
-    """Exactly ``len(encode_full_batch(batch))`` without encoding.
-
-    Mirrors the writer field-for-field; the codec tests pin the two to
-    byte equality, so a layout change that misses one side fails loudly.
-    """
-    size = 1 + _str_size(batch.host) + _str_size(batch.query_id) + 8 + 8
-    size += 8 + _str_size(batch.quarantined)
-    size += encoded_size_batch(batch.events)
-    size += 4
-    for (event_type, _window) in batch.seen_counts:
-        size += _str_size(event_type) + 16
-    size += 4
-    for partial in batch.partials:
-        size += _str_size(partial.event_type) + 8
-        size += encoded_size_value(list(partial.group_key))
-        size += encoded_size_value(list(partial.values))
-    return size
+    return batch.frame
 
 
 def _read_full_batch_header(buf: memoryview) -> tuple:
@@ -270,17 +417,12 @@ def decode_full_batch(data: bytes | memoryview) -> EventBatch:
         event, pos = _decode_binary_at(buf, pos)
         events.append(event)
     seen_counts, partials = _read_full_batch_trailer(buf, pos)
-    return EventBatch(
-        host=host,
-        query_id=query_id,
-        events=events,
-        seen_counts=seen_counts,
-        dropped=dropped,
-        sent_at=sent_at,
-        partials=partials,
-        shed=shed,
-        quarantined=quarantined,
+    batch = EventBatch(
+        host, query_id, events, seen_counts, dropped, sent_at, partials, shed, quarantined
     )
+    if type(data) is bytes:
+        batch._frame = data  # immutable: the frame is the input, not a copy
+    return batch
 
 
 def decode_full_batch_rows(
@@ -349,11 +491,6 @@ class EncodedBatch:
         self.meta = meta
         self.frames = frames
 
-    def wire_size(self) -> int:
-        """The frame's size *is* the wire size — no arithmetic mirror
-        needed when the encoded bytes are already in hand."""
-        return len(self.data)
-
     def to_event_batch(self) -> EventBatch:
         """Decode the events after all — the object-path fallback for
         queries the pool keeps on the parent (raw selections)."""
@@ -406,17 +543,19 @@ class Transport(Protocol):
 
 
 class DirectTransport:
-    """Synchronous delivery to a sink callable (no simulated network)."""
+    """Synchronous delivery of each batch's frame to a sink callable
+    (``CentralEngine.ingest_frame``; no simulated network)."""
 
-    def __init__(self, sink: Callable[[EventBatch], None]) -> None:
+    def __init__(self, sink: Callable[[bytes], None]) -> None:
         self._sink = sink
         self.batches_sent = 0
         self.bytes_sent = 0
 
     def send(self, batch: EventBatch) -> None:
+        frame = batch.frame
         self.batches_sent += 1
-        self.bytes_sent += batch.wire_size()
-        self._sink(batch)
+        self.bytes_sent += len(frame)
+        self._sink(frame)
 
 
 class RecordingTransport:
@@ -434,7 +573,7 @@ class RecordingTransport:
 
     def send(self, batch: EventBatch) -> None:
         self.batches_sent += 1
-        self.bytes_sent += batch.wire_size()
+        self.bytes_sent += len(batch.frame)
         self.batches.append(batch)
 
     @property

@@ -113,7 +113,7 @@ class Scrub:
         agent = ScrubAgent(
             host=name,
             registry=self.registry,
-            transport=DirectTransport(self.central.ingest),
+            transport=DirectTransport(self.central.ingest_frame),
             clock=self.clock,
             buffer_capacity=self._buffer_capacity,
             flush_batch_size=self._flush_batch_size,

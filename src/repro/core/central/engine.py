@@ -289,6 +289,10 @@ class CentralEngine:
         replaced is the differential oracle in the test tree
         (``tests/core/reference_engine.py``).
         """
+        self._ingest_batch(batch, len(batch.frame))
+
+    def _ingest_batch(self, batch: EventBatch, nbytes: int) -> None:
+        """:meth:`ingest` for a batch whose frame is *nbytes* long."""
         rq = self._queries.get(batch.query_id)
         if rq is None:
             # The query ended while the batch was in flight; drop silently —
@@ -306,7 +310,7 @@ class CentralEngine:
         stats = self.stats
         stats.batches_received += 1
         stats.events_received += len(batch.events)
-        stats.bytes_received += batch.wire_size()
+        stats.bytes_received += nbytes
 
         self._ingest_metadata(rq, batch)
         if batch.events:
@@ -330,7 +334,7 @@ class CentralEngine:
         """
         rowed = decode_full_batch_rows(data, self._takes_rows)
         if rowed is None:
-            self.ingest(decode_full_batch(data))
+            self._ingest_batch(decode_full_batch(data), len(data))
             return
         meta, (rows, names, host, timestamps, _end) = rowed
         rq = self._queries[meta.query_id]

@@ -63,7 +63,7 @@ import os
 import warnings
 from typing import Any, Callable, Mapping, Optional
 
-from ..agent.transport import EventBatch, encode_full_batch, scan_full_batch
+from ..agent.transport import EventBatch, scan_full_batch
 from ..events.encoding import decode_event_frames
 from ..query.errors import ScrubExecutionError
 from ..query.planner import CentralQueryObject
@@ -566,11 +566,11 @@ class ShardPool(CentralEngine):
     # -- ingest ----------------------------------------------------------------
 
     def ingest(self, batch: EventBatch) -> None:
-        """The in-process door: encode and take the one way in.  Raw
-        selections stay on the parent, as objects."""
+        """The in-process door: take the one way in with the batch's
+        frame.  Raw selections stay on the parent, as objects."""
         rq = self._queries.get(batch.query_id)
         if rq is not None and rq.parallel:
-            self.ingest_frame(encode_full_batch(batch))
+            self.ingest_frame(batch.frame)
         else:
             super().ingest(batch)
 
@@ -596,12 +596,12 @@ class ShardPool(CentralEngine):
             # Query ended while the frame was in flight — expected race.
             return
         if not rq.parallel:
-            CentralEngine.ingest(self, enc.to_event_batch())
+            self._ingest_batch(enc.to_event_batch(), len(enc.data))
             return
         stats = self.stats
         stats.batches_received += 1
         stats.events_received += len(enc.frames)
-        stats.bytes_received += enc.wire_size()
+        stats.bytes_received += len(enc.data)
 
         self._ingest_metadata(rq, meta)
         if not enc.frames:

@@ -40,21 +40,35 @@ Every respawn gets a **fresh** ring (the old segment is unlinked), so a
 replacement worker can never read a stale cursor or half-written
 payload from its predecessor's life; :meth:`attach` refuses a
 generation mismatch outright.
+
+``SharedMemory`` registers every segment with :mod:`multiprocessing`'s
+resource tracker, a helper process that unlinks what a crashed process
+leaked.  Left alone, the tracker outlives the process that started it:
+it exits only after noticing that process is gone.  So the first ring
+registers an exit hook that stops the tracker and reaps it, and nothing
+of a ring's owner is left running once the owner has exited.  (Stopping
+it at each ``ShardPool.close()`` instead would cost a fresh tracker
+process, some 60 ms, at every next pool.)
 """
 
 from __future__ import annotations
 
+import atexit
+import os
 import struct
+import time
 from typing import Optional
 
 __all__ = ["ShmRing", "RingUnavailable", "HEADER_SIZE", "DEFAULT_RING_CAPACITY"]
 
 try:  # pragma: no cover - import succeeds on every supported platform
+    from multiprocessing import resource_tracker as _tracker
     from multiprocessing import shared_memory
     from multiprocessing import util as _mp_util
 except ImportError:  # pragma: no cover - exercised via monkeypatch in tests
     shared_memory = None  # type: ignore[assignment]
     _mp_util = None  # type: ignore[assignment]
+    _tracker = None  # type: ignore[assignment]
 
 #: Header bytes before the data region (cursor cache-line, padded).
 HEADER_SIZE = 64
@@ -70,6 +84,38 @@ _OFF_HEAD = 0
 _OFF_TAIL = 8
 _OFF_GENERATION = 16
 _OFF_CAPACITY = 24
+
+
+#: How long the exit hook waits to reap the stopped tracker.
+_TRACKER_REAP_SECONDS = 0.5
+
+_exit_hook_registered = False
+
+
+def _stop_tracker() -> None:
+    """Stop the resource tracker and reap it (the exit hook).
+
+    Closing its pipe is what stops it; it unlinks whatever is still
+    registered — a ring its pool never closed — and exits.  Only a live
+    child that inherited the pipe (a worker of such a pool) can keep it
+    running; then it is left to exit with that child."""
+    tracker = getattr(_tracker, "_resource_tracker", None)
+    if tracker is None:  # pragma: no cover - no tracker on this platform
+        return
+    with tracker._lock:
+        fd, pid = tracker._fd, tracker._pid
+        if fd is None:
+            return
+        tracker._fd = tracker._pid = None
+        os.close(fd)
+    deadline = time.monotonic() + _TRACKER_REAP_SECONDS
+    try:
+        while os.waitpid(pid, os.WNOHANG)[0] == 0:
+            if time.monotonic() >= deadline:  # pragma: no cover - held open
+                return
+            time.sleep(0.002)
+    except ChildProcessError:  # pragma: no cover - reaped elsewhere
+        pass
 
 
 class RingUnavailable(RuntimeError):
@@ -126,6 +172,10 @@ class ShmRing:
             shm = shared_memory.SharedMemory(create=True, size=HEADER_SIZE + capacity)
         except Exception as exc:  # noqa: BLE001 - e.g. /dev/shm missing or full
             raise RingUnavailable(f"{type(exc).__name__}: {exc}") from exc
+        global _exit_hook_registered
+        if not _exit_hook_registered:
+            _exit_hook_registered = True
+            atexit.register(_stop_tracker)
         shm.buf[:HEADER_SIZE] = b"\0" * HEADER_SIZE
         _U64.pack_into(shm.buf, _OFF_GENERATION, generation)
         _U64.pack_into(shm.buf, _OFF_CAPACITY, capacity)

@@ -9,7 +9,9 @@ Two encodings are provided:
   payloads, matching the paper's concern with the bytes hosts must ship.
 
 Both encodings round-trip :class:`~repro.core.events.event.Event`
-losslessly for all supported field types.
+losslessly for all supported field types.  Binary frames are written
+straight from payload dicts (:func:`encode_rows_into`, which the agent's
+flush uses) and read back as ``Event`` objects or fixed-layout rows.
 """
 
 from __future__ import annotations
@@ -25,11 +27,7 @@ from .schema import REQUEST_ID, TIMESTAMP
 __all__ = [
     "encode_json",
     "decode_json",
-    "encode_binary",
-    "encode_binary_into",
     "decode_binary",
-    "encode_batch",
-    "encode_batch_into",
     "decode_batch",
     "decode_event_frames",
     "decode_fixed_rows",
@@ -37,9 +35,10 @@ __all__ = [
     "scan_batch",
     "encode_value",
     "decode_value",
-    "encoded_size_value",
-    "encoded_size_event",
-    "encoded_size_batch",
+    "encode_payload_into",
+    "encode_rows_into",
+    "FixedPackers",
+    "UNENCODABLE",
 ]
 
 # -- JSON lines ---------------------------------------------------------------
@@ -282,25 +281,22 @@ def decode_value(data: bytes | memoryview) -> Any:
     return value
 
 
-def encode_binary_into(out: bytearray, event: Event) -> None:
-    """Append one event's compact binary framing to *out*.
-
-    The zero-alloc building block of the flush path: a whole batch is
-    written into one reusable buffer, with no per-event ``bytes``.
-    """
-    _write_str(out, event.event_type)
-    _write_str(out, event.host)
-    out += _HEADER.pack(event.request_id, event.timestamp, len(event.payload))
-    for key, value in event.payload.items():
+def encode_payload_into(
+    out: bytearray,
+    event_type: str,
+    host: str,
+    payload: dict[str, Any],
+    request_id: int,
+    timestamp: float,
+) -> None:
+    """Append one event's compact binary framing to *out*, straight from
+    its payload dict — the tagged writer every layout can take."""
+    _write_str(out, event_type)
+    _write_str(out, host)
+    out += _HEADER.pack(request_id, timestamp, len(payload))
+    for key, value in payload.items():
         _write_str(out, key)
         _write_value(out, value)
-
-
-def encode_binary(event: Event) -> bytes:
-    """Encode one event in the compact binary framing."""
-    out = bytearray()
-    encode_binary_into(out, event)
-    return bytes(out)
 
 
 def decode_binary(data: bytes | memoryview) -> Event:
@@ -324,69 +320,6 @@ def _decode_binary_at(buf: memoryview, pos: int) -> tuple[Event, int]:
         key, pos = _read_str(buf, pos)
         payload[key], pos = _read_value(buf, pos)
     return Event(event_type, payload, request_id, timestamp, host), pos
-
-
-# -- arithmetic sizes ---------------------------------------------------------
-#
-# Exact mirrors of the writers above: ``encoded_size_x(v)`` equals
-# ``len(encode_x(v))`` for every encodable value, without materializing
-# bytes.  The ingest hot path charges wire bytes per batch; doing a full
-# encode just to measure it dominated the per-batch overhead.
-
-
-def encoded_size_value(value: Any) -> int:
-    """Exactly ``len(encode_value(value))``, computed arithmetically."""
-    if value is None:
-        return 1
-    if isinstance(value, bool):
-        return 2
-    if isinstance(value, (int, float)):
-        return 9
-    if isinstance(value, str):
-        return 5 + _utf8_len(value)
-    if isinstance(value, (list, tuple)):
-        return 5 + sum(encoded_size_value(item) for item in value)
-    if isinstance(value, dict):
-        return 5 + sum(
-            4 + _utf8_len(str(key)) + encoded_size_value(item)
-            for key, item in value.items()
-        )
-    raise TypeError(f"unencodable value of type {type(value).__name__}: {value!r}")
-
-
-def _utf8_len(text: str) -> int:
-    return len(text) if text.isascii() else len(text.encode())
-
-
-def _str_size(text: str) -> int:
-    return 4 + _utf8_len(text)
-
-
-def encoded_size_event(event: Event) -> int:
-    """Exactly ``len(encode_binary(event))``, computed arithmetically."""
-    size = _str_size(event.event_type) + _str_size(event.host) + _HEADER.size
-    for key, value in event.payload.items():
-        size += _str_size(key) + encoded_size_value(value)
-    return size
-
-
-def encoded_size_batch(events: list[Event]) -> int:
-    """Exactly ``len(encode_batch(events))``, computed arithmetically."""
-    return 4 + sum(encoded_size_event(event) for event in events)
-
-
-def encode_batch_into(out: bytearray, events: list[Event]) -> None:
-    """Append a batch (u32 count prefix + concatenated events) to *out*."""
-    out += _U32.pack(len(events))
-    for event in events:
-        encode_binary_into(out, event)
-
-
-def encode_batch(events: list[Event]) -> bytes:
-    """Encode a batch of events (u32 count prefix + concatenated events)."""
-    out = bytearray()
-    encode_batch_into(out, events)
-    return bytes(out)
 
 
 def decode_batch(data: bytes | memoryview) -> list[Event]:
@@ -498,6 +431,136 @@ def decode_fixed_rows(buf: memoryview, pos: int, count: int) -> Optional[FixedRo
     if not isfinite(sum(columns[2])):
         return None
     return FixedRows(rows, tuple(names), host, columns[2], end)
+
+
+class FixedPacker(NamedTuple):
+    """The writer's counterpart of :func:`decode_fixed_rows`: one event
+    frame of a fixed layout is ``pack(*args)`` with ``args`` a copy of
+    *template* whose request id (1), timestamp (2) and values (``5::2``)
+    are filled in; the other members are the layout's constant chunks."""
+
+    pack: Any  # struct.Struct.pack
+    template: tuple
+
+
+#: Layouts a :class:`FixedPackers` cache holds before it evicts the oldest.
+PACKER_CACHE_SIZE = 256
+
+#: What writing one event can raise: a non-plain value (``TypeError``),
+#: an ``int`` outside int64 (``struct.error``), a string that is not
+#: valid UTF-8 (``UnicodeEncodeError``), a key that is not a string
+#: (``AttributeError``), a cyclic list (``RecursionError``).
+UNENCODABLE = (
+    TypeError, ValueError, OverflowError, AttributeError, RecursionError, struct.error
+)
+
+
+class FixedPackers:
+    """Bounded cache: (event type, host, keys + value types) -> the
+    :class:`FixedPacker` of that layout, or ``None`` when some value is
+    not an exact ``int``/``float`` and the tagged writer must serve it.
+    Full, it drops its oldest layout and counts the eviction."""
+
+    def __init__(self) -> None:
+        self.evictions = 0
+        self._layouts: dict[tuple, Optional[FixedPacker]] = {}
+
+    def __len__(self) -> int:
+        return len(self._layouts)
+
+    def get(self, event_type: str, host: str, signature: tuple) -> Optional[FixedPacker]:
+        """The packer for payloads whose ``(*keys, *map(type, values))``
+        is *signature*."""
+        key = (event_type, host, signature)
+        layouts = self._layouts
+        try:
+            return layouts[key]
+        except KeyError:
+            pass
+        packer = _fixed_packer(event_type, host, signature)
+        if len(layouts) >= PACKER_CACHE_SIZE:
+            # Concurrent flushes may race here; losing one is harmless.
+            layouts.pop(next(iter(layouts), None), None)
+            self.evictions += 1
+        layouts[key] = packer
+        return packer
+
+
+_FIXED_CODES = {int: (_TAG_INT, "q"), float: (_TAG_FLOAT, "d")}
+
+
+def _fixed_packer(event_type: str, host: str, signature: tuple) -> Optional[FixedPacker]:
+    nfields = len(signature) // 2
+    keys, types = signature[:nfields], signature[nfields:]
+    if not all(t in _FIXED_CODES for t in types) or not all(type(k) is str for k in keys):
+        return None
+    try:
+        head = bytearray()
+        _write_str(head, event_type)
+        _write_str(head, host)
+        layout = [f"<{len(head)}sqdI"]
+        template: list[Any] = [bytes(head), 0, 0.0, nfields]
+        for key, value_type in zip(keys, types):
+            tag, code = _FIXED_CODES[value_type]
+            chunk = bytearray()
+            _write_str(chunk, key)
+            chunk += tag
+            layout.append(f"{len(chunk)}s{code}")
+            template += [bytes(chunk), None]
+    except UnicodeEncodeError:
+        return None
+    return FixedPacker(struct.Struct("".join(layout)).pack, tuple(template))
+
+
+def encode_rows_into(out: bytearray, rows: Any, packers: FixedPackers) -> list:
+    """Append one event frame per row to *out*, in one pass.
+
+    A row is ``(source, payload, request_id, timestamp)``; *source*
+    names the event's ``event_type`` and ``host`` (an :class:`Event`
+    is its own source).  Consecutive rows of one source whose payloads
+    have the same keys in the same order and exact ``int``/``float``
+    values are a run, packed by one cached ``struct`` each; every other
+    row goes through :func:`encode_payload_into`; both write the same
+    bytes for the same event.
+
+    A row that cannot be written is cut back out of *out* and returned,
+    with its error, as ``(row, exc)``; the rest are written."""
+    refused = []
+    run_source = run_signature = None
+    pack = None
+    args: list[Any] = []
+    for row in rows:
+        source, payload, request_id, timestamp = row
+        values = payload.values()
+        signature = (*payload, *map(type, values))
+        if source is not run_source or signature != run_signature:
+            if (
+                signature != run_signature
+                or source.event_type != run_source.event_type
+                or source.host != run_source.host
+            ):
+                packer = packers.get(source.event_type, source.host, signature)
+                if packer is None:
+                    pack = None
+                else:
+                    pack = packer.pack
+                    args = list(packer.template)
+            run_source, run_signature = source, signature
+        start = len(out)
+        try:
+            if pack is not None:
+                args[1] = request_id
+                args[2] = timestamp
+                args[5::2] = values
+                out += pack(*args)
+            else:
+                encode_payload_into(
+                    out, source.event_type, source.host, payload, request_id, timestamp
+                )
+        except UNENCODABLE as exc:
+            del out[start:]
+            refused.append((row, exc))
+    return refused
 
 
 # -- frame scanning ------------------------------------------------------------

@@ -687,8 +687,8 @@ def _emit_fused_body(
     accounting (window keys shared across queries with equal windows),
     applies the sampling decision, and appends ``(iq, payload, rid,
     now)`` to the bounded buffer with exact shipped/dropped accounting —
-    no ``Event`` object exists until flush materializes the batch, off
-    the application's hot path.  Mutable collaborators (the stats
+    no ``Event`` object is built: flush writes the batch's wire frame
+    straight from these rows, off the application's hot path.  Mutable collaborators (the stats
     object, the buffer and its deque, each query's objects) live in the
     environment so identical query sets share one code object.  Leaves
     the matched count in ``n``; returns True when ``n`` can carry

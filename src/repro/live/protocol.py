@@ -33,7 +33,7 @@ import socket
 import struct
 from typing import Any, Optional
 
-from ..core.agent.transport import EventBatch, encode_full_batch_into
+from ..core.agent.transport import MAX_FRAME_BYTES, EventBatch
 from ..core.approx.sampling_theory import ApproxEstimate
 from ..core.central.results import ResultRow, ResultSet, WindowCoverage, WindowResult
 from ..core.control.effects import MsgType
@@ -57,9 +57,9 @@ __all__ = [
     "schema_to_payload",
 ]
 
-#: Upper bound on a single frame; a peer announcing more is corrupt or
-#: hostile and the connection is torn down rather than buffered.
-MAX_FRAME_BYTES = 64 * 1024 * 1024
+# MAX_FRAME_BYTES bounds a single frame; a peer announcing more is
+# corrupt or hostile and the connection is torn down rather than
+# buffered.  The agent's batch writer keeps every frame under it.
 
 _LEN = struct.Struct("<I")
 
@@ -84,19 +84,14 @@ def encode_message_frame(msg_type: MsgType, message: dict[str, Any]) -> bytes:
 
 
 def encode_batch_frame_into(out: bytearray, batch: EventBatch) -> None:
-    """Append a complete ``BATCH`` frame to *out* without intermediate
-    copies: the length prefix is written as a placeholder and patched
-    once the payload size is known, so the batch encodes straight into
-    the transport's reusable wire buffer."""
-    start = len(out)
-    out += _LEN.pack(0)  # placeholder, patched below
+    """Append a complete ``BATCH`` frame to *out*: the 5-byte header,
+    then the batch's frame as written (nothing is encoded here)."""
+    frame = batch.frame
+    if 1 + len(frame) > MAX_FRAME_BYTES:
+        raise ProtocolError(f"frame too large: {len(frame)} bytes")
+    out += _LEN.pack(1 + len(frame))
     out.append(MsgType.BATCH)
-    encode_full_batch_into(out, batch)
-    length = len(out) - start - _LEN.size
-    if length > MAX_FRAME_BYTES:
-        del out[start:]
-        raise ProtocolError(f"frame too large: {length - 1} bytes")
-    _LEN.pack_into(out, start, length)
+    out += frame
 
 
 def encode_batch_frame(batch: EventBatch) -> bytes:

@@ -7,15 +7,19 @@ paper's minimal-impact contract preserved end to end:
   and returns.  When the outbox is full — or the link is down long
   enough to fill it — the batch is dropped *at the host* and its loss is
   counted, exactly like a full agent buffer.
-* A background **flusher thread** owns the socket: it frames batches,
-  reconnects with full-jitter capped exponential backoff (seeded per
-  host name, so a daemon restart does not make the whole fleet redial
-  in lockstep), and re-sends the ``DATA_HELLO`` after every reconnect.
-* Dropped batches are not silently forgotten: their event count and
-  matched-event counters are *carried* onto the next batch that does get
-  through (``dropped`` and ``seen_counts``), so the central estimator
-  still learns how much it missed.  The carry is capped so a long outage
-  cannot grow host memory without bound.
+* A background **flusher thread** owns the socket: it puts the 5-byte
+  frame header before each batch's frame (written once, by the agent's
+  ``flush()``; nothing is encoded here), reconnects with full-jitter
+  capped exponential backoff (seeded per host name, so a daemon restart
+  does not make the whole fleet redial in lockstep), and re-sends the
+  ``DATA_HELLO`` after every reconnect.
+* Dropped batches are not silently forgotten: a
+  :class:`~repro.core.agent.carry.LossCarry` keeps each lost batch's
+  event count, matched-event counters, shed count and quarantine notice
+  for *its own query*, and ``send()`` ships them as loss-only frames
+  ahead of the next batch, so the central estimator still learns how
+  much it missed.  The carry is capped so a long outage cannot grow
+  host memory without bound, and counts what it could not keep.
 """
 
 from __future__ import annotations
@@ -26,6 +30,7 @@ import socket
 import threading
 from typing import Optional
 
+from ..core.agent.carry import CARRY_SEEN_CAP, LossCarry
 from ..core.agent.transport import EventBatch
 from .protocol import (
     MsgType,
@@ -36,10 +41,7 @@ from .protocol import (
     recv_frame,
 )
 
-__all__ = ["JitteredBackoff", "SocketTransport"]
-
-#: Entries kept in the carried seen-count map while the link is down.
-CARRY_SEEN_CAP = 1024
+__all__ = ["CARRY_SEEN_CAP", "JitteredBackoff", "SocketTransport"]
 
 
 class JitteredBackoff:
@@ -116,17 +118,11 @@ class SocketTransport:
         self.dropped_events = 0
         self.reconnects = 0
 
-        # Loss carried onto the next enqueued batch.  Both the producer
-        # (send() folding carry in / counting outbox drops) and the
-        # flusher (_note_lost after a failed ship) mutate these, so a
-        # lock guards every read-modify-write: an unsynchronized
-        # interleaving could *lose* counts (producer zeroes the field
-        # while the flusher's addition is in flight), violating the
-        # conservation guarantee the estimator depends on.  The lock is
+        # Loss of lost batches, per query, shipped ahead of the next
+        # batch.  The producer (send() taking it / counting outbox drops)
+        # and the flusher (a failed ship) both touch it; its own lock is
         # never held across I/O, so send() stays non-blocking.
-        self._carry_lock = threading.Lock()
-        self._carry_dropped = 0
-        self._carry_seen: dict[tuple[str, int], int] = {}
+        self.carry = LossCarry(host)
 
         self._sock: Optional[socket.socket] = None
         # Owned by the flusher thread; reused across every shipped frame.
@@ -141,24 +137,20 @@ class SocketTransport:
     # -- the Transport protocol ------------------------------------------------
 
     def send(self, batch: EventBatch) -> None:
-        """Enqueue for shipping; on a full outbox, count the loss and
-        return immediately (the paper's drop-not-block invariant)."""
-        with self._carry_lock:
-            if self._carry_dropped or self._carry_seen:
-                batch.dropped += self._carry_dropped
-                self._carry_dropped = 0
-                if self._carry_seen:
-                    merged = self._carry_seen
-                    self._carry_seen = {}
-                    for key, count in batch.seen_counts.items():
-                        merged[key] = merged.get(key, 0) + count
-                    batch.seen_counts = merged
+        """Enqueue for shipping — after the loss-only batches of what was
+        lost so far; on a full outbox, carry the loss and return
+        immediately (the paper's drop-not-block invariant).  While the
+        outbox is full the carry stays where it is."""
+        if self.carry and not self._outbox.full():
+            for lost in self.carry.take(batch.sent_at):
+                self._enqueue(lost, carried=True)
+        self._enqueue(batch, carried=False)
+
+    def _enqueue(self, batch: EventBatch, carried: bool) -> None:
         try:
-            self._outbox.put_nowait(batch)
+            self._outbox.put_nowait((batch, carried))
         except queue.Full:
-            self.dropped_batches += 1
-            self.dropped_events += len(batch.events)
-            self._carry_loss(batch)
+            self._note_lost(batch, carried)
 
     # -- lifecycle ---------------------------------------------------------------
 
@@ -206,45 +198,42 @@ class SocketTransport:
             if isinstance(item, _Drain):
                 self._handle_drain(item)
                 continue
-            self._ship(item)
+            self._ship(*item)
         if self._sock is not None:
             self._close_socket()
 
-    def _ship(self, batch: EventBatch) -> None:
-        # One reusable wire buffer for the flusher's lifetime: the batch
-        # encodes straight into it (no per-event or per-frame bytes), and
-        # `del buf[:]` keeps the allocation for the next batch.
-        frame = self._wire_buf
-        del frame[:]
-        encode_batch_frame_into(frame, batch)
+    def _ship(self, batch: EventBatch, carried: bool) -> None:
+        # One reusable wire buffer for the flusher's lifetime: the frame
+        # header and the batch's frame go into it, and `del buf[:]` keeps
+        # the allocation for the next batch.
+        wire = self._wire_buf
+        del wire[:]
+        try:
+            encode_batch_frame_into(wire, batch)
+        except ProtocolError:  # over the frame limit: never sent, counted
+            self._note_lost(batch, carried)
+            return
         if not self._ensure_connected():
-            self.dropped_batches += 1
-            self.dropped_events += len(batch.events)
-            self._note_lost(batch)
+            self._note_lost(batch, carried)
             return
         try:
             assert self._sock is not None
-            self._sock.sendall(frame)
+            self._sock.sendall(wire)
             self.batches_sent += 1
-            self.bytes_sent += len(frame)
+            self.bytes_sent += len(wire)
         except OSError:
             self._close_socket()
+            self._note_lost(batch, carried)
+
+    def _note_lost(self, batch: EventBatch, carried: bool) -> None:
+        """Count a batch that will never arrive and carry its loss back
+        to its query (``send()`` ships it ahead of the next batch).  A
+        loss-only batch lost in turn goes back uncounted: its loss was
+        counted when its first batch was lost."""
+        if not carried:
             self.dropped_batches += 1
-            self.dropped_events += len(batch.events)
-            self._note_lost(batch)
-
-    def _note_lost(self, batch: EventBatch) -> None:
-        """Flusher-side loss: fold the dead batch — events, its own
-        carried drop count, and its matched-event counters — back into
-        the shared carry so the next delivered batch reports it."""
-        self._carry_loss(batch)
-
-    def _carry_loss(self, batch: EventBatch) -> None:
-        with self._carry_lock:
-            self._carry_dropped += len(batch.events) + batch.dropped
-            if len(self._carry_seen) < CARRY_SEEN_CAP:
-                for key, count in batch.seen_counts.items():
-                    self._carry_seen[key] = self._carry_seen.get(key, 0) + count
+            self.dropped_events += batch.event_count
+        self.carry.add(batch)
 
     def _handle_drain(self, token: _Drain) -> None:
         if not self._ensure_connected():

@@ -1,7 +1,11 @@
 """Session guard: a test run must leave nothing running.
 
 Two PRs were rejected because a ``scrubd``, a shard worker or a
-``/dev/shm/psm_*`` ring outlived the session that started it.  After the
+``/dev/shm/psm_*`` ring outlived the session that started it.  A
+``multiprocessing`` resource tracker counts too once it has outlived the
+process that started it (the shared-memory rings start one; their exit
+hook stops it).  This session's own tracker is exempt: that hook stops
+it when pytest exits, after this fixture has run.  After the
 last test this fixture waits up to five seconds for stragglers to exit
 and then fails the run, naming each one and the test that spawned it.
 
@@ -54,8 +58,8 @@ def _leaked_processes() -> list[str]:
             continue
         environ = _read(f"/proc/{pid}/environ")
         cmdline = _read(f"/proc/{pid}/cmdline")
-        if b"multiprocessing.resource_tracker" in cmdline:
-            continue  # multiprocessing's own helper; exits with pytest
+        if parent == me and b"multiprocessing.resource_tracker" in cmdline:
+            continue  # this session's own; stopped when pytest exits
         forked_from_me = parent == me and cmdline == my_cmdline
         if _MARK not in environ and not forked_from_me:
             continue

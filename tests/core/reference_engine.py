@@ -69,7 +69,7 @@ class ReferenceEngine(CentralEngine):
         stats = self.stats
         stats.batches_received += 1
         stats.events_received += len(batch.events)
-        stats.bytes_received += batch.wire_size()
+        stats.bytes_received += len(batch.frame)
 
         self._ingest_metadata(rq, batch)
 

@@ -15,15 +15,11 @@ from repro.core.events.encoding import (
     decode_batch,
     decode_binary,
     decode_json,
-    encode_batch,
-    encode_batch_into,
-    encode_binary,
-    encode_binary_into,
     encode_json,
-    encoded_size_batch,
-    encoded_size_event,
     scan_batch,
 )
+
+from .wire_oracle import encode_batch, encode_binary
 
 
 def _event(payload, rid=7, ts=1.5, host="h1"):
@@ -80,8 +76,9 @@ class TestBinaryEncoding:
             decode_binary(bytes(data))
 
     def test_unencodable_value(self):
+        batch = EventBatch("h1", "q1", [_event({"bad": object()})])
         with pytest.raises(TypeError, match="unencodable"):
-            encode_binary(_event({"bad": object()}))
+            batch.frame
 
     def test_negative_ints(self):
         event = _event({"a": -(2**40)})
@@ -268,24 +265,3 @@ def test_binary_round_trip_property(payload, rid, ts, host):
 def test_batch_round_trip_property(payloads):
     events = [Event("evt", p, i, float(i), "h") for i, p in enumerate(payloads)]
     assert decode_batch(encode_batch(events)) == events
-
-
-@settings(max_examples=100, deadline=None)
-@given(payloads=st.lists(_payload, max_size=8))
-def test_encoded_sizes_are_exact(payloads):
-    """The arithmetic size mirrors equal the writers byte-for-byte, and
-    the ``_into`` writers produce the same bytes at any buffer offset
-    (the zero-alloc flush path appends mid-buffer)."""
-    events = [Event("evt", p, i, float(i), "h") for i, p in enumerate(payloads)]
-    encoded = encode_batch(events)
-    assert encoded_size_batch(events) == len(encoded)
-    for event in events:
-        assert encoded_size_event(event) == len(encode_binary(event))
-    # Append into a dirty reusable buffer: identical bytes after the prefix.
-    out = bytearray(b"\xaa\xbb\xcc")
-    encode_batch_into(out, events)
-    assert bytes(out[3:]) == encoded
-    if events:
-        out2 = bytearray()
-        encode_binary_into(out2, events[0])
-        assert bytes(out2) == encode_binary(events[0])

@@ -29,10 +29,10 @@ from repro.core.events import Event
 from repro.core.events.encoding import (
     decode_batch,
     decode_event_frames,
-    encode_batch,
-    encode_binary,
     scan_batch,
 )
+
+from .wire_oracle import encode_batch, encode_binary
 
 # Arbitrary nested payloads, same shape as the codec round-trip suite.
 _scalar = st.one_of(
@@ -217,7 +217,7 @@ def test_scan_full_batch_matches_decode_full_batch(batch):
     pool takes for raw selections, so it must be lossless."""
     data = encode_full_batch(batch)
     enc = scan_full_batch(data)
-    assert enc.wire_size() == len(data) == batch.wire_size()
+    assert len(enc.data) == len(data) == len(batch.frame)
     assert enc.to_event_batch() == decode_full_batch(data) == batch
     meta = enc.meta
     assert meta.events == []

@@ -1,6 +1,6 @@
 """Round-trip properties for the lossless full-batch wire codec, and the
-byte-accounting consistency it restores (`wire_size()` == encoded length,
-identical counters across transports)."""
+byte accounting built on it (every counter is a frame's length,
+identical across transports)."""
 
 import pytest
 from hypothesis import given, settings
@@ -16,6 +16,8 @@ from repro.core.agent.transport import (
     encode_full_batch_into,
 )
 from repro.core.events import Event
+
+from .wire_oracle import oracle_encode_full_batch
 
 # -- strategies -------------------------------------------------------------------
 
@@ -108,9 +110,9 @@ def test_full_batch_round_trip_property(
     )
     encoded = encode_full_batch(batch)
     assert decode_full_batch(encoded) == batch
-    assert batch.wire_size() == len(encoded)
-    # The zero-alloc writer produces identical bytes into a dirty,
-    # reused buffer — the v2 shed/quarantine fields included.
+    assert encoded == oracle_encode_full_batch(batch)
+    # The writer appends identical bytes to a dirty, reused buffer —
+    # the v2 shed/quarantine fields included.
     out = bytearray(b"\x00\x01\x02")
     encode_full_batch_into(out, batch)
     assert bytes(out[3:]) == encoded
@@ -130,7 +132,7 @@ class TestFullBatchCodec:
         batch = EventBatch(host="h", query_id="q", events=[])
         encoded = encode_full_batch(batch)
         assert decode_full_batch(encoded) == batch
-        assert batch.wire_size() == len(encoded)
+        assert encoded == oracle_encode_full_batch(batch)
 
     def test_unicode_fields(self):
         batch = _batch(
@@ -162,20 +164,16 @@ class TestFullBatchCodec:
         assert decoded.partials[0].values == ((1.0, (2, 3)),)
 
 
-# -- wire_size honesty and transport consistency ---------------------------------
+# -- byte accounting and transport consistency -----------------------------------
 
 
 class TestWireAccounting:
-    def test_wire_size_is_exact(self):
-        batch = _batch()
-        assert batch.wire_size() == len(encode_full_batch(batch))
-
     def test_metadata_is_counted(self):
         plain = _batch(seen_counts={}, partials=[], dropped=0)
         heavy = _batch(
             seen_counts={("bid", w): 1 for w in range(50)}, partials=[], dropped=0
         )
-        assert heavy.wire_size() > plain.wire_size() + 50 * 16
+        assert len(heavy.frame) > len(plain.frame) + 50 * 16
 
     def test_direct_and_recording_transports_agree(self):
         batches = [_batch(), _batch(events=[], seen_counts={("bid", 1): 2})]
@@ -186,4 +184,4 @@ class TestWireAccounting:
             recording.send(batch)
         assert recording.batches_sent == direct.batches_sent == len(batches)
         assert recording.bytes_sent == direct.bytes_sent
-        assert recording.bytes_sent == sum(b.wire_size() for b in batches)
+        assert recording.bytes_sent == sum(len(b.frame) for b in batches)

@@ -99,7 +99,7 @@ class TestPartialAggregateWireSize:
                 PartialAggregate("bid", 0, ("somekey",), (3,)),
             ],
         )
-        assert with_partials.wire_size() > empty.wire_size()
+        assert len(with_partials.frame) > len(empty.frame)
 
     def test_string_keys_cost_their_length(self):
         from repro.core.agent.transport import EventBatch, PartialAggregate
@@ -110,4 +110,4 @@ class TestPartialAggregateWireSize:
         long = EventBatch(host="h", query_id="q", events=[], partials=[
             PartialAggregate("bid", 0, ("a" * 100,), (1,))
         ])
-        assert long.wire_size() > short.wire_size() + 90
+        assert len(long.frame) > len(short.frame) + 90

@@ -185,8 +185,8 @@ def test_frame_ingest_matches_object_ingest(query):
 
 def test_frame_ingest_stats_match_object_ingest():
     """Byte/event/batch/late accounting is identical whether batches
-    arrive as objects or wire frames (wire_size() is pinned to the
-    encoded length, so bytes_received must agree exactly)."""
+    arrive as objects or wire frames (both doors book the frame's
+    length, so bytes_received must agree exactly)."""
     registry = _registry()
     object_pool = ShardPool(workers=2, grace_seconds=1.0)
     frame_pool = ShardPool(workers=2, grace_seconds=1.0)

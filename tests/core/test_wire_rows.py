@@ -30,10 +30,10 @@ from repro.core.events import Event, EventRegistry
 from repro.core.events.encoding import (
     decode_batch,
     decode_fixed_rows,
-    encode_batch,
-    encode_binary,
     fixed_row_slots,
 )
+
+from .wire_oracle import encode_batch, encode_binary
 from repro.core.query import parse_query, plan_query, validate_query
 
 WINDOW = 10.0

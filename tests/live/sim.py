@@ -26,6 +26,7 @@ from typing import Any, Optional
 
 from repro.cluster.simclock import EventLoop
 from repro.core.agent.agent import ScrubAgent
+from repro.core.agent.carry import LossCarry
 from repro.core.agent.transport import EventBatch
 from repro.core.central.engine import CentralEngine
 from repro.core.control import ControlPlane, Evict, Journal, MsgType, Push, Reply, Session
@@ -87,7 +88,7 @@ class SimHost:
         self.frames: list[tuple[MsgType, dict]] = []
         self.installs_applied = 0
         self.last_error: Optional[dict] = None
-        self._carry: dict[str, EventBatch] = {}
+        self._carry = LossCarry(name)
         #: query_id -> window -> [seen, shipped]; and query_id -> lost.
         self.windows: dict[str, dict[int, list[int]]] = {}
         self.lost: dict[str, int] = {}
@@ -183,20 +184,15 @@ class SimHost:
         for event in batch.events:
             per_window.setdefault(int(event.timestamp // window_seconds), [0, 0])[1] += 1
         self.lost[batch.query_id] = self.lost.get(batch.query_id, 0) + batch.dropped + batch.shed
-        carried = self._carry.pop(batch.query_id, None)
-        if carried is not None:
+        if not self.link_up:
             # What SocketTransport carries past an outage: how much was
             # lost and how much was seen, never the events themselves.
-            batch.dropped += carried.dropped
-            batch.shed += carried.shed
-            for key, count in carried.seen_counts.items():
-                batch.seen_counts[key] = batch.seen_counts.get(key, 0) + count
-        if self.link_up:
-            self.sim.loop.call_later(self.sim.data_delay(), self.sim.ingest, batch)
-        else:
-            batch.dropped += len(batch.events)
-            batch.events = []
-            self._carry[batch.query_id] = batch
+            self._carry.add(batch)
+            return
+        delay = self.sim.data_delay()
+        for lost in self._carry.take(batch.sent_at):
+            self.sim.loop.call_later(delay, self.sim.ingest, lost)
+        self.sim.loop.call_later(delay, self.sim.ingest, batch)
 
 
 class ControlSim:

@@ -1,5 +1,5 @@
-"""SocketTransport: drop-not-block when central is gone, loss carry onto
-the next delivered batch, and honest shipping against a live sink."""
+"""SocketTransport: drop-not-block when central is gone, loss carried
+back to its own query, and honest shipping against a live sink."""
 
 import socket
 import threading
@@ -20,10 +20,10 @@ def _dead_address() -> tuple[str, int]:
     return ("127.0.0.1", port)
 
 
-def _batch(n_events: int = 2, seen: int = 1) -> EventBatch:
+def _batch(n_events: int = 2, seen: int = 1, query_id: str = "q00001") -> EventBatch:
     return EventBatch(
         host="h1",
-        query_id="q00001",
+        query_id=query_id,
         events=[Event("pv", {"url": "/x"}, i, 1.0, "h1") for i in range(n_events)],
         seen_counts={("pv", 0): seen},
     )
@@ -110,28 +110,62 @@ class TestCentralDown:
             transport.close()
 
     def test_loss_is_carried_onto_next_batch(self):
+        transport = _fast_transport(_dead_address(), outbox_capacity=2)
+        for _ in range(30):
+            transport.send(_batch(n_events=2, seen=1))
+        transport.close()
+        assert not transport._thread.is_alive()
+        unshipped = _outbox_items(transport)  # what the flusher never got to
+        # Each batch send() was handed is lost once or still queued; a
+        # loss-only batch lost again is not counted again.
+        queued = sum(1 for _batch_, carried in unshipped if not carried)
+        assert transport.dropped_batches == 30 - queued >= 1
+        carried = EventBatch(host="h1", query_id="q00001", events=[])
+        transport.send(carried)
+        # The loss rides ahead of the next batch as a loss-only batch of
+        # its own query; the batch itself leaves as it was written.
+        *losses, sent = [batch for batch, _ in unshipped] + _outbox(transport)
+        assert sent is carried and carried.dropped == 0 and carried.seen_counts == {}
+        losses = [b for b in losses if b.event_count == 0]
+        assert {b.query_id for b in losses} == {"q00001"}
+        assert sum(b.dropped for b in losses) == transport.dropped_events >= 2
+        assert sum(b.seen_counts.get(("pv", 0), 0) for b in losses) >= 1
+
+
+def _outbox_items(transport: SocketTransport) -> list[tuple[EventBatch, bool]]:
+    """Everything queued on a transport whose flusher has stopped, as
+    ``(batch, carried)``: *carried* marks a loss-only batch."""
+    items = []
+    while not transport._outbox.empty():
+        items.append(transport._outbox.get_nowait())
+    return [item for item in items if item is not None]
+
+
+def _outbox(transport: SocketTransport) -> list[EventBatch]:
+    return [batch for batch, _carried in _outbox_items(transport)]
+
+
+class TestOutboxFull:
+    def test_a_full_outbox_keeps_the_carry_and_counts_each_loss_once(self):
         transport = _fast_transport(_dead_address(), outbox_capacity=1)
-        try:
-            for _ in range(30):
-                transport.send(_batch(n_events=2, seen=1))
-            assert transport.dropped_batches >= 1
-            carried = EventBatch(host="h1", query_id="q00001", events=[])
-            transport.send(carried)
-            # The producer folded the accumulated loss into this batch
-            # before enqueueing it: dropped events and their matched
-            # counts both ride forward.
-            assert carried.dropped >= 2
-            assert carried.seen_counts.get(("pv", 0), 0) >= 1
-        finally:
-            transport.close()
+        transport._stop.set()
+        transport._thread.join(timeout=5.0)
+        transport.send(_batch(n_events=1))  # fills the outbox
+        for query_id in ("qa", "qb"):
+            transport._note_lost(_batch(n_events=2, query_id=query_id), carried=False)
+        for _ in range(5):
+            transport.send(_batch(n_events=1))
+        assert transport.dropped_batches == 2 + 5
+        assert transport.dropped_events == 2 * 2 + 5
+        # Nothing was taken from the carry while the outbox was full.
+        carried = {b.query_id: b.dropped for b in transport.carry.take(0.0)}
+        assert carried == {"qa": 2, "qb": 2, "q00001": 5}
+        transport.close()
 
 
 class TestLossCarryConservation:
-    """The carry is shared between the producer (send() folds it into the
-    next batch) and the flusher (_carry_loss after a failed ship).  The
-    estimator's honesty rests on conservation: every lost event and every
-    matched count ends up either on a delivered batch or still in the
-    carry — interleaving must never *lose* any."""
+    """Loss goes back to the query that lost it (the carry is per query,
+    held in a ``LossCarry`` and shipped as loss-only batches)."""
 
     def _quiesced_transport(self) -> SocketTransport:
         # Stop the flusher so the outbox only fills (huge capacity: no
@@ -142,23 +176,41 @@ class TestLossCarryConservation:
         assert not transport._thread.is_alive()
         return transport
 
+    def test_loss_stays_with_its_query(self):
+        transport = self._quiesced_transport()
+        lost = EventBatch(
+            host="h1", query_id="qa", events=[], dropped=3, shed=4,
+            seen_counts={("pv", 7): 5}, quarantined="cpu budget",
+        )
+        transport._note_lost(lost, carried=False)
+        next_batch = EventBatch(
+            host="h1", query_id="qb", events=[], seen_counts={("click", 9): 1}
+        )
+        transport.send(next_batch)
+        carried, sent = _outbox(transport)
+        assert (carried.query_id, carried.dropped, carried.shed) == ("qa", 3, 4)
+        assert carried.seen_counts == {("pv", 7): 5}
+        assert carried.quarantined == "cpu budget"
+        assert sent.query_id == "qb"
+        assert (sent.dropped, sent.shed, sent.seen_counts) == (0, 0, {("click", 9): 1})
+        # The loss-only batch is a frame like any other.
+        assert decode_full_batch(carried.frame) == carried
+        transport.close()
+
     def test_interleaved_flusher_loss_and_producer_fold(self):
         transport = self._quiesced_transport()
         rounds, events_per_loss = 400, 3
-        enqueued: list[EventBatch] = []
         start = threading.Barrier(3)
 
         def flusher_side():
             start.wait()
             for _ in range(rounds):
-                transport._carry_loss(_batch(n_events=events_per_loss, seen=1))
+                transport._note_lost(_batch(n_events=events_per_loss, seen=1), carried=False)
 
         def producer_side():
             start.wait()
             for _ in range(rounds):
-                batch = EventBatch(host="h1", query_id="q00001", events=[])
-                transport.send(batch)
-                enqueued.append(batch)
+                transport.send(EventBatch(host="h1", query_id="q00001", events=[]))
 
         threads = [
             threading.Thread(target=flusher_side),
@@ -171,11 +223,9 @@ class TestLossCarryConservation:
             t.join(timeout=30.0)
             assert not t.is_alive()
 
-        total_lost = rounds * events_per_loss
-        folded = sum(b.dropped for b in enqueued)
-        assert folded + transport._carry_dropped == total_lost
-        folded_seen = sum(b.seen_counts.get(("pv", 0), 0) for b in enqueued)
-        assert folded_seen + transport._carry_seen.get(("pv", 0), 0) == rounds
+        shipped = _outbox(transport) + transport.carry.take(0.0)
+        assert sum(b.dropped for b in shipped) == rounds * events_per_loss
+        assert sum(b.seen_counts.get(("pv", 0), 0) for b in shipped) == rounds
         transport.close()
 
     def test_two_producers_race_the_fold(self):
@@ -183,22 +233,17 @@ class TestLossCarryConservation:
         # records losses: counts still conserve exactly.
         transport = self._quiesced_transport()
         rounds = 300
-        lock = threading.Lock()
-        enqueued: list[EventBatch] = []
         start = threading.Barrier(4)
 
         def flusher_side():
             start.wait()
             for _ in range(rounds):
-                transport._carry_loss(_batch(n_events=2, seen=1))
+                transport._note_lost(_batch(n_events=2, seen=1), carried=False)
 
         def producer_side():
             start.wait()
             for _ in range(rounds):
-                batch = EventBatch(host="h1", query_id="q00001", events=[])
-                transport.send(batch)
-                with lock:
-                    enqueued.append(batch)
+                transport.send(EventBatch(host="h1", query_id="q00001", events=[]))
 
         threads = [threading.Thread(target=flusher_side)] + [
             threading.Thread(target=producer_side) for _ in range(2)
@@ -210,10 +255,9 @@ class TestLossCarryConservation:
             t.join(timeout=30.0)
             assert not t.is_alive()
 
-        folded = sum(b.dropped for b in enqueued)
-        assert folded + transport._carry_dropped == rounds * 2
-        folded_seen = sum(b.seen_counts.get(("pv", 0), 0) for b in enqueued)
-        assert folded_seen + transport._carry_seen.get(("pv", 0), 0) == rounds
+        shipped = _outbox(transport) + transport.carry.take(0.0)
+        assert sum(b.dropped for b in shipped) == rounds * 2
+        assert sum(b.seen_counts.get(("pv", 0), 0) for b in shipped) == rounds
         transport.close()
 
 
@@ -229,7 +273,7 @@ class TestLiveLink:
             assert [b.events for b in sink.batches] == [b.events for b in sent]
             assert sink.hellos == [{"host": "h1"}]
             assert transport.batches_sent == 2
-            assert transport.bytes_sent > sum(b.wire_size() for b in sent)
+            assert transport.bytes_sent == sum(len(b.frame) + 5 for b in sent)
             assert transport.dropped_events == 0
             assert transport.connected
         finally:
