@@ -27,29 +27,28 @@ __all__ = ["HyperLogLog"]
 _HASH_BITS = 64
 
 
-def _hash64(item: Hashable) -> int:
-    """Stable 64-bit hash of an arbitrary hashable item.
+def _hash_input(item: Hashable) -> bytes:
+    """The type-tagged bytes an item's 64-bit hash is taken over.
 
     Python's builtin ``hash`` is salted per process for strings, which
-    would make sketches non-mergeable across host processes; blake2b is
-    stable and fast enough for the reproduction.
+    would make sketches non-mergeable across host processes; a blake2b
+    digest of these bytes is stable.  The tag keeps ``1``, ``True``,
+    ``1.0`` and ``"1"`` apart.  An ``int`` outside the signed 128-bit
+    range raises ``OverflowError``.
     """
     if isinstance(item, bytes):
-        data = b"b" + item
-    elif isinstance(item, str):
-        data = b"s" + item.encode()
-    elif isinstance(item, bool):
-        data = b"o" + bytes([item])
-    elif isinstance(item, int):
-        data = b"i" + item.to_bytes(16, "little", signed=True)
-    elif isinstance(item, float):
-        data = b"f" + struct.pack("<d", item)
-    elif item is None:
-        data = b"n"
-    else:
-        data = b"r" + repr(item).encode()
-    digest = hashlib.blake2b(data, digest_size=8).digest()
-    return int.from_bytes(digest, "little")
+        return b"b" + item
+    if isinstance(item, str):
+        return b"s" + item.encode()
+    if isinstance(item, bool):
+        return b"o" + bytes([item])
+    if isinstance(item, int):
+        return b"i" + item.to_bytes(16, "little", signed=True)
+    if isinstance(item, float):
+        return b"f" + struct.pack("<d", item)
+    if item is None:
+        return b"n"
+    return b"r" + repr(item).encode()
 
 
 def _alpha(m: int) -> float:
@@ -87,21 +86,35 @@ class HyperLogLog:
         return 1.04 / math.sqrt(self._m)
 
     def add(self, item: Hashable) -> None:
-        h = _hash64(item)
-        index = h >> (_HASH_BITS - self._precision)
-        remainder = h << self._precision & (1 << _HASH_BITS) - 1
-        # Rank: position of the leftmost 1-bit of the remainder, 1-based,
-        # over the (64 - precision) remaining bits.
-        if remainder == 0:
-            rank = _HASH_BITS - self._precision + 1
-        else:
-            rank = _HASH_BITS - remainder.bit_length() + 1
-        if rank > self._registers[index]:
-            self._registers[index] = rank
+        self.update((item,))
 
     def update(self, items: Iterable[Hashable]) -> None:
+        """Fold *items* into the registers, in order — the sketch's one
+        update routine.
+
+        An item's hash is the first 8 bytes of blake2b over its
+        :func:`_hash_input`, read little-endian; the top ``precision``
+        bits pick the register and the rank is the 1-based position of
+        the leftmost 1-bit in the remaining ``64 - precision`` bits
+        (``64 - precision + 1`` when they are all zero).  The ``int``
+        case, the hot one, is inlined.
+        """
+        shift = _HASH_BITS - self._precision
+        low = (1 << shift) - 1
+        top_rank = shift + 1
+        registers = self._registers
+        blake2b = hashlib.blake2b
+        from_bytes = int.from_bytes
         for item in items:
-            self.add(item)
+            if type(item) is int:
+                data = b"i" + item.to_bytes(16, "little", signed=True)
+            else:
+                data = _hash_input(item)
+            h = from_bytes(blake2b(data, digest_size=8).digest(), "little")
+            rank = top_rank - (h & low).bit_length()
+            index = h >> shift
+            if rank > registers[index]:
+                registers[index] = rank
 
     def cardinality(self) -> float:
         """Estimated number of distinct items added."""
@@ -129,11 +142,7 @@ class HyperLogLog:
             raise ValueError(
                 f"cannot merge HLL precisions {self._precision} and {other._precision}"
             )
-        ours = self._registers
-        theirs = other._registers
-        for i in range(self._m):
-            if theirs[i] > ours[i]:
-                ours[i] = theirs[i]
+        self._registers[:] = bytes(map(max, self._registers, other._registers))
 
     def copy(self) -> "HyperLogLog":
         clone = HyperLogLog(self._precision)

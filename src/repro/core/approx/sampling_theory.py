@@ -25,9 +25,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from typing import Iterable, Sequence
-
-from scipy import stats as _stats
 
 __all__ = [
     "MachineSample",
@@ -35,7 +34,148 @@ __all__ = [
     "estimate_sum",
     "estimate_count",
     "estimate_avg",
+    "t_quantile",
 ]
+
+
+# -- Student's t quantile -------------------------------------------------------
+#
+# Eq. 2 needs t_{n-1, 1-α/2}.  It is computed here from the stdlib alone:
+# Hill's asymptotic inverse (ACM Algorithm 396, 1970) gives a start within
+# 5e-4 relative for df >= 3, and Newton steps on the log upper tail finish
+# it (df 1 and 2 have closed forms).  The tail
+# is the regularized incomplete beta function, evaluated by its continued
+# fraction (modified Lentz), which converges in at most a few dozen terms
+# for every df at the tail probabilities a confidence level asks for, so
+# the cost does not grow with the fleet size.
+
+
+def _log_gamma_half_ratio(a: float) -> float:
+    """ln Γ(a + 1/2) - ln Γ(a), without cancellation for large *a*."""
+    if a < 50.0:
+        return math.lgamma(a + 0.5) - math.lgamma(a)
+    inv = 1.0 / a
+    inv2 = inv * inv
+    # Asymptotic series; the first omitted term is below 1e-18 at a = 50.
+    return 0.5 * math.log(a) - inv * (
+        0.125 - inv2 * (1.0 / 192.0 - inv2 * (1.0 / 640.0 - inv2 * (17.0 / 14336.0)))
+    )
+
+
+def _beta_fraction(a: float, b: float, x: float) -> float:
+    """Continued fraction of the regularized incomplete beta I_x(a, b)
+    (modified Lentz); converges fast for x < (a + 1) / (a + b + 2)."""
+    tiny = 1e-300
+    c = 1.0
+    d = 1.0 - (a + b) * x / (a + 1.0)
+    d = 1.0 / (d if abs(d) > tiny else tiny)
+    h = d
+    for m in range(1, 500):
+        m2 = 2 * m
+        for num in (
+            m * (b - m) * x / ((a + m2 - 1.0) * (a + m2)),
+            -(a + m) * (a + b + m) * x / ((a + m2) * (a + m2 + 1.0)),
+        ):
+            d = 1.0 + num * d
+            d = 1.0 / (d if abs(d) > tiny else tiny)
+            c = 1.0 + num / c
+            if abs(c) < tiny:
+                c = tiny
+            h *= d * c
+        if abs(d * c - 1.0) < 1e-16:
+            return h
+    raise ArithmeticError(f"incomplete beta fraction did not converge (a={a}, b={b}, x={x})")
+
+
+def _t_log_upper_tail(t: float, df: float) -> float:
+    """ln P(T > t) for Student's t with *df* degrees of freedom, t >= 0."""
+    a = 0.5 * df
+    r = t * t / df
+    log_x = -math.log1p(r)  # x = df / (df + t²), the beta argument
+    log_y = math.log(r) + log_x  # y = 1 - x = t² / (df + t²)
+    # ln(x^a · y^(1/2) / B(a, 1/2)), with ln Γ(1/2) = ln √π.
+    log_front = a * log_x + 0.5 * log_y - 0.5 * math.log(math.pi) + _log_gamma_half_ratio(a)
+    x = math.exp(log_x)
+    if x < (a + 1.0) / (a + 2.5):
+        return math.log(0.5 / a) + log_front + math.log(_beta_fraction(a, 0.5, x))
+    y = math.exp(log_y)
+    return math.log(0.5 * (1.0 - 2.0 * math.exp(log_front) * _beta_fraction(0.5, a, y)))
+
+
+def _t_log_density(t: float, df: float) -> float:
+    a = 0.5 * df
+    return (
+        _log_gamma_half_ratio(a)
+        - 0.5 * math.log(df * math.pi)
+        - (a + 0.5) * math.log1p(t * t / df)
+    )
+
+
+def _normal_lower_quantile(p: float) -> float:
+    """A start-quality normal quantile for p <= 0.5 (|error| < 4.5e-4;
+    Abramowitz & Stegun 26.2.23)."""
+    s = math.sqrt(-2.0 * math.log(p))
+    return -(
+        s
+        - (2.515517 + s * (0.802853 + s * 0.010328))
+        / (1.0 + s * (1.432788 + s * (0.189269 + s * 0.001308)))
+    )
+
+
+def _hill_start(two_tail: float, df: float) -> float:
+    """Hill's (1970) approximate t quantile for two-tailed probability
+    *two_tail*; the Newton start."""
+    a = 1.0 / (df - 0.5)
+    b = 48.0 / (a * a)
+    c = ((20700.0 * a / b - 98.0) * a - 16.0) * a + 96.36
+    d = ((94.5 / (b + c) - 3.0) / b + 1.0) * math.sqrt(a * math.pi / 2.0) * df
+    y = (d * two_tail) ** (2.0 / df)
+    if y > 0.05 + a:
+        x = _normal_lower_quantile(0.5 * two_tail)
+        y = x * x
+        if df < 5.0:
+            c += 0.3 * (df - 4.5) * (x + 0.6)
+        c = (((0.05 * d * x - 5.0) * x - 7.0) * x - 2.0) * x + b + c
+        y = (((((0.4 * y + 6.3) * y + 36.0) * y + 94.5) / c - y - 3.0) / b + 1.0) * x
+        y = math.expm1(a * y * y)
+    else:
+        y = (
+            (1.0 / (((df + 6.0) / (df * y) - 0.089 * d - 0.822) * (df + 2.0) * 3.0)
+             + 0.5 / (df + 4.0)) * y - 1.0
+        ) * (df + 1.0) / (df + 2.0) + 1.0 / y
+    return math.sqrt(df * y)
+
+
+@lru_cache(maxsize=1024)
+def t_quantile(confidence: float, df: float) -> float:
+    """Two-sided Student's t critical value ``t_{df, 1-α/2}`` for
+    ``confidence = 1 - α``: the t distribution's quantile at ``1 - α/2``,
+    within 1e-12 relative up to df = 10⁵.  Rounding in the
+    continued fraction grows with df: about 1e-8 relative at df = 10⁹."""
+    if not 0.0 < confidence < 1.0:
+        raise ValueError(f"confidence must be in (0, 1), got {confidence}")
+    if not df >= 1:
+        raise ValueError(f"df must be >= 1, got {df}")
+    two_tail = 1.0 - confidence
+    if df == 1:
+        return math.tan(math.pi / 2.0 * confidence)
+    if df == 2:
+        return math.sqrt(2.0 / (two_tail * (2.0 - two_tail)) - 2.0)
+    log_target = math.log(0.5 * two_tail)
+    t = _hill_start(two_tail, df)
+    last = math.inf
+    for _ in range(50):
+        # Newton on ln P(T > t) - ln(α/2): d/dt ln P(T > t) = -f(t) / P(T > t).
+        log_tail = _t_log_upper_tail(t, df)
+        step = (log_tail - log_target) * math.exp(log_tail - _t_log_density(t, df))
+        if abs(step) >= last:
+            # At the rounding floor of the tail: steps no longer shrink.
+            return t
+        t += step
+        last = abs(step)
+        if last <= 1e-15 * t:
+            return t
+    raise ArithmeticError(f"t quantile did not converge (confidence={confidence}, df={df})")
 
 
 @dataclass(frozen=True)
@@ -207,8 +347,7 @@ def estimate_sum(
     sample_events = sum(s.count for s in samples)
 
     if n >= 2:
-        t_quantile = float(_stats.t.ppf(1.0 - (1.0 - confidence) / 2.0, df=n - 1))
-        epsilon = t_quantile * math.sqrt(max(variance, 0.0))
+        epsilon = t_quantile(confidence, n - 1) * math.sqrt(max(variance, 0.0))
     elif big_n == 1 and samples[0].count == samples[0].machine_total:
         # Exhaustive single-machine reading: exact.
         epsilon = 0.0
@@ -269,8 +408,7 @@ def estimate_count(
         s_u_sq = 0.0
     variance = big_n * (big_n - n) * s_u_sq / n
     if n >= 2:
-        t_quantile = float(_stats.t.ppf(1.0 - (1.0 - confidence) / 2.0, df=n - 1))
-        epsilon = t_quantile * math.sqrt(max(variance, 0.0))
+        epsilon = t_quantile(confidence, n - 1) * math.sqrt(max(variance, 0.0))
     else:
         epsilon = 0.0 if (big_n == n and event_sampling_rate == 1.0) else math.inf
     if big_n == n and event_sampling_rate == 1.0:

@@ -32,11 +32,6 @@ class TopItem:
     count: int
     error: int
 
-    @property
-    def guaranteed_count(self) -> int:
-        """Lower bound on the item's true frequency."""
-        return self.count - self.error
-
 
 class _Counter:
     __slots__ = ("item", "count", "error", "bucket", "prev", "next")
@@ -60,10 +55,6 @@ class _Bucket:
         self.head: _Counter | None = None
         self.prev: "_Bucket | None" = None
         self.next: "_Bucket | None" = None
-
-    @property
-    def empty(self) -> bool:
-        return self.head is None
 
 
 class SpaceSaving:
@@ -93,32 +84,99 @@ class SpaceSaving:
 
     def offer(self, item: Hashable, count: int = 1) -> None:
         """Record *count* occurrences of *item*."""
+        self.update((item,), count)
+
+    def update(self, items: Iterable[Hashable], count: int = 1) -> None:
+        """Record *count* occurrences of each of *items*, in order — the
+        summary's one update routine.
+
+        A monitored item's counter moves from its bucket towards the
+        next ones, to the bucket holding its new count (made if absent,
+        the emptied bucket reused in place when the order allows).  An
+        unmonitored item gets a fresh counter while there is room, or
+        else takes over the head counter of the minimum bucket, whose
+        count it inherits as its error.  A counter always enters its
+        bucket at the head, so each bucket keeps the same counters in
+        the same order however the moves are made, and the same victims
+        are evicted.
+        """
         if count <= 0:
             raise ValueError(f"count must be positive, got {count}")
-        self._total += count
-        counter = self._counters.get(item)
-        if counter is not None:
-            self._increment(counter, count)
-            return
-        if len(self._counters) < self._capacity:
-            counter = _Counter(item)
-            self._counters[item] = counter
-            self._attach(counter, 0)
-            self._increment(counter, count)
-            return
-        # Evict the minimum counter; the newcomer inherits its count as error.
-        victim = self._min_bucket.head  # type: ignore[union-attr]
-        assert victim is not None
-        del self._counters[victim.item]
-        victim_error = victim.count
-        victim.item = item
-        victim.error = victim_error
-        self._counters[item] = victim
-        self._increment(victim, count)
-
-    def update(self, items: Iterable[Hashable]) -> None:
-        for item in items:
-            self.offer(item)
+        counters = self._counters
+        capacity = self._capacity
+        total = self._total
+        try:
+            for item in items:
+                total += count
+                counter = counters.get(item)
+                if counter is None and len(counters) < capacity:
+                    counter = _Counter(item)
+                    counters[item] = counter
+                    value = count
+                    before = None
+                    node = self._min_bucket
+                else:
+                    if counter is None:
+                        # Evict the minimum bucket's head counter; the
+                        # newcomer inherits its count as error.
+                        counter = self._min_bucket.head  # type: ignore[union-attr]
+                        del counters[counter.item]
+                        counter.item = item
+                        counter.error = counter.count
+                        counters[item] = counter
+                    bucket = counter.bucket
+                    value = counter.count + count
+                    node = bucket.next
+                    prev = counter.prev
+                    nxt = counter.next
+                    if prev is None and nxt is None:
+                        if node is None or node.value > value:
+                            # Alone in its bucket and the next bucket is
+                            # past the new count: the bucket becomes it.
+                            bucket.value = value
+                            counter.count = value
+                            continue
+                        # The bucket empties: unlink it.
+                        before = bucket.prev
+                        if before is None:
+                            self._min_bucket = node
+                        else:
+                            before.next = node
+                        node.prev = before
+                    else:
+                        if prev is None:
+                            bucket.head = nxt
+                        else:
+                            prev.next = nxt
+                        if nxt is not None:
+                            nxt.prev = prev
+                        before = bucket
+                counter.count = value
+                while node is not None and node.value < value:
+                    before = node
+                    node = node.next
+                if node is not None and node.value == value:
+                    target = node
+                else:
+                    target = _Bucket(value)
+                    target.prev = before
+                    target.next = node
+                    if before is None:
+                        self._min_bucket = target
+                    else:
+                        before.next = target
+                    if node is not None:
+                        node.prev = target
+                # Enter the bucket at its head.
+                head = target.head
+                counter.bucket = target
+                counter.prev = None
+                counter.next = head
+                if head is not None:
+                    head.prev = counter
+                target.head = counter
+        finally:
+            self._total = total
 
     def estimate(self, item: Hashable) -> int:
         """Estimated count (upper bound on true count); 0 if unmonitored."""
@@ -135,38 +193,16 @@ class SpaceSaving:
         )
         return items[:k]
 
-    def guaranteed_top(self, k: int) -> list[TopItem]:
-        """The subset of :meth:`top` whose order is provably correct.
-
-        Item i is guaranteed to be in the true top-k when its guaranteed
-        count is at least the (k+1)-th estimated count.
-        """
-        ranked = sorted(
-            (TopItem(c.item, c.count, c.error) for c in self._counters.values()),
-            key=_rank_key,
-        )
-        if len(ranked) <= k:
-            return ranked
-        threshold = ranked[k].count
-        return [t for t in ranked[:k] if t.guaranteed_count >= threshold]
-
     def merge(self, other: "SpaceSaving") -> None:
         """Merge another summary into this one (used when ScrubCentral
         combines per-window partial sketches).  The merged summary keeps
         the Space-Saving error semantics: counts are upper bounds."""
+        counters = self._counters
         for counter in list(other._counters.values()):
-            existing = self._counters.get(counter.item)
-            if existing is not None:
-                existing.error += counter.error
-                self._increment(existing, counter.count)
-                self._total += counter.count
-            else:
-                # offer() would add error only on eviction; replicate the
-                # incoming error explicitly.
-                self.offer(counter.item, counter.count)
-                merged = self._counters.get(counter.item)
-                if merged is not None:
-                    merged.error += counter.error
+            self.update((counter.item,), counter.count)
+            # update() adds error only on eviction; carry the incoming
+            # error explicitly.
+            counters[counter.item].error += counter.error
 
     # -- pickling ---------------------------------------------------------------
 
@@ -182,68 +218,6 @@ class SpaceSaving:
         )
         return (_rebuild_spacesaving, (self._capacity, self._total, counters))
 
-    # -- bucket list maintenance ------------------------------------------------
-
-    def _attach(self, counter: _Counter, value: int) -> None:
-        """Place *counter* into the bucket for *value*, creating it if needed.
-
-        Buckets form an ascending doubly linked list starting at
-        ``_min_bucket``.
-        """
-        bucket = self._find_or_create_bucket(value)
-        counter.bucket = bucket
-        counter.prev = None
-        counter.next = bucket.head
-        if bucket.head is not None:
-            bucket.head.prev = counter
-        bucket.head = counter
-
-    def _detach(self, counter: _Counter) -> None:
-        bucket = counter.bucket
-        assert bucket is not None
-        if counter.prev is not None:
-            counter.prev.next = counter.next
-        else:
-            bucket.head = counter.next
-        if counter.next is not None:
-            counter.next.prev = counter.prev
-        counter.prev = counter.next = None
-        counter.bucket = None
-        if bucket.empty:
-            self._remove_bucket(bucket)
-
-    def _find_or_create_bucket(self, value: int) -> _Bucket:
-        prev: _Bucket | None = None
-        node = self._min_bucket
-        while node is not None and node.value < value:
-            prev = node
-            node = node.next
-        if node is not None and node.value == value:
-            return node
-        bucket = _Bucket(value)
-        bucket.prev = prev
-        bucket.next = node
-        if prev is not None:
-            prev.next = bucket
-        else:
-            self._min_bucket = bucket
-        if node is not None:
-            node.prev = bucket
-        return bucket
-
-    def _remove_bucket(self, bucket: _Bucket) -> None:
-        if bucket.prev is not None:
-            bucket.prev.next = bucket.next
-        else:
-            self._min_bucket = bucket.next
-        if bucket.next is not None:
-            bucket.next.prev = bucket.prev
-
-    def _increment(self, counter: _Counter, count: int) -> None:
-        self._detach(counter)
-        counter.count += count
-        self._attach(counter, counter.count)
-
 
 def _rank_key(t: TopItem) -> tuple:
     """Deterministic total order for reported heavy hitters: by estimated
@@ -258,13 +232,10 @@ def _rebuild_spacesaving(
     capacity: int, total: int, counters: list[tuple]
 ) -> SpaceSaving:
     summary = SpaceSaving(capacity)
-    summary._total = total
     # Descending count order makes every bucket insert O(1): each new
     # value lands at the front of the ascending bucket list.
     for item, count, error in counters:
-        counter = _Counter(item)
-        counter.count = count
-        counter.error = error
-        summary._counters[item] = counter
-        summary._attach(counter, count)
+        summary.update((item,), count)
+        summary._counters[item].error = error
+    summary._total = total
     return summary

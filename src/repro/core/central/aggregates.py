@@ -283,10 +283,9 @@ class CountDistinctState(AggregateState):
             self.sketch.add(_hashable(value))
 
     def update_many(self, values: list) -> None:
-        add = self.sketch.add
-        for value in values:
-            if value is not None:
-                add(_hashable(value))
+        self.sketch.update(
+            [v if type(v) in _AS_IS else _hashable(v) for v in values if v is not None]
+        )
 
     def merge(self, other: "AggregateState") -> None:
         assert isinstance(other, CountDistinctState)
@@ -315,10 +314,9 @@ class TopKState(AggregateState):
             self.summary.offer(_hashable(value))
 
     def update_many(self, values: list) -> None:
-        offer = self.summary.offer
-        for value in values:
-            if value is not None:
-                offer(_hashable(value))
+        self.summary.update(
+            [v if type(v) in _AS_IS else _hashable(v) for v in values if v is not None]
+        )
 
     def merge(self, other: "AggregateState") -> None:
         assert isinstance(other, TopKState)
@@ -371,6 +369,10 @@ class QuantileState(AggregateState):
         if self.sketch.count == 0:
             return None
         return self.sketch.quantile(self.q)
+
+
+#: Value types :func:`_hashable` returns unchanged (floats are not: NaN).
+_AS_IS = frozenset((int, str, bool, bytes, tuple))
 
 
 def _hashable(value: Any) -> Any:

@@ -149,11 +149,18 @@ class WindowGroups:
             fn = group_fns[0]
             segments = {}
             for row in rows:
-                segments.setdefault((_group_key_part(fn(row)),), []).append(row)
+                part = fn(row)
+                if isinstance(part, _NESTED):
+                    part = _group_key_part(part)
+                segments.setdefault((part,), []).append(row)
         else:
             segments = {}
             for row in rows:
-                key = tuple(_group_key_part(fn(row)) for fn in group_fns)
+                key = tuple([fn(row) for fn in group_fns])
+                for part in key:
+                    if isinstance(part, _NESTED):
+                        key = tuple(map(_group_key_part, key))
+                        break
                 segments.setdefault(key, []).append(row)
 
         for key, members in segments.items():
@@ -227,6 +234,10 @@ class WindowGroups:
             if values is not None:
                 rows.append(ResultRow(values))
         return rows
+
+
+#: Group-key values that :func:`_group_key_part` folds into tuples.
+_NESTED = (list, dict)
 
 
 def _group_key_part(value: Any) -> Any:

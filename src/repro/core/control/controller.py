@@ -81,9 +81,8 @@ import math
 from dataclasses import dataclass
 from typing import Any, Mapping, Optional
 
-from scipy import stats as _stats
-
 from ..agent.governor import ImpactBudget
+from ..approx.sampling_theory import t_quantile
 from ..central.results import WindowResult
 from ..query.ast import TargetCISpec
 
@@ -247,7 +246,6 @@ class SamplingController:
         # Per-host cost tracking: host -> (last_routed, last_at, wall_ewma_s).
         self._host_cost: dict[str, tuple[int, float, float]] = {}
         self._host_versions: dict[str, Optional[int]] = {}
-        self._t_cache: dict[int, float] = {}
 
     # -- telemetry intake ------------------------------------------------------
 
@@ -428,7 +426,7 @@ class SamplingController:
                 continue
             if n < 2:
                 return math.inf
-            rel = self._t(n - 1) * math.sqrt(variance) / stat.abs_tau
+            rel = t_quantile(self.target.confidence, n - 1) * math.sqrt(variance) / stat.abs_tau
             if rel > worst:
                 worst = rel
         return worst
@@ -456,15 +454,6 @@ class SamplingController:
     def _cost(self, host_count: int, event_rate: float) -> float:
         """Normalized fleet cost: fraction of hosts × fraction of events."""
         return (host_count / self.total_hosts) * event_rate
-
-    def _t(self, df: int) -> float:
-        t = self._t_cache.get(df)
-        if t is None:
-            t = float(
-                _stats.t.ppf(1.0 - (1.0 - self.target.confidence) / 2.0, df=df)
-            )
-            self._t_cache[df] = t
-        return t
 
     # -- clamp / freeze --------------------------------------------------------
 

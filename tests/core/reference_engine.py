@@ -13,7 +13,9 @@ doors to it on the whole result surface and on ``CentralStats``.
 What it shares with production is what no door does per event: batch
 metadata bookkeeping (``_ingest_metadata``), window close and
 finalisation, and the aggregate states themselves (which have their own
-oracles in ``test_aggregates.py`` / ``test_sketch_differential.py``).
+oracles in ``test_aggregates.py`` / ``test_sketch_differential.py``) —
+except the sketches' update paths: a sketch state here is updated
+through ``sketch_oracle.py``'s per-item sketches, not the batch kernels.
 """
 
 from __future__ import annotations
@@ -22,11 +24,12 @@ import math
 from typing import Any, Optional
 
 from repro.core.agent.transport import EventBatch
-from repro.core.central.aggregates import make_state
 from repro.core.central.engine import CentralEngine, _RunningQuery
 from repro.core.central.groupby import WindowGroups, _group_key_part
 from repro.core.central.join import JoinBuffer
 from repro.core.central.results import ResultRow
+
+from .sketch_oracle import oracle_state
 
 __all__ = ["ReferenceEngine", "process"]
 
@@ -45,7 +48,7 @@ def process(state: WindowGroups, row: Any) -> bool:
     key = tuple(_group_key_part(fn(row)) for fn in group_fns)
     states = state.groups.get(key)
     if states is None:
-        states = state.groups[key] = [make_state(agg) for agg in p.agg_calls]
+        states = state.groups[key] = [oracle_state(agg) for agg in p.agg_calls]
     for aggregate_state, arg_fn in zip(states, agg_arg_fns):
         aggregate_state.update(arg_fn(row))
     return True

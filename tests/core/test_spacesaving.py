@@ -8,6 +8,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.approx import SpaceSaving
+from repro.core.approx.spacesaving import TopItem
+
+
+def guaranteed_count(t: TopItem) -> int:
+    """Lower bound on the item's true frequency."""
+    return t.count - t.error
+
+
+def guaranteed_top(ss: SpaceSaving, k: int) -> list[TopItem]:
+    """The subset of ``ss.top(k)`` whose membership in the true top-k is
+    provable: an item's guaranteed count is at least the (k+1)-th
+    estimated count."""
+    ranked = ss.top(len(ss))
+    if len(ranked) <= k:
+        return ranked
+    threshold = ranked[k].count
+    return [t for t in ranked[:k] if guaranteed_count(t) >= threshold]
 
 
 class TestBasics:
@@ -79,7 +96,7 @@ class TestGuarantees:
         ss = SpaceSaving(capacity=50)
         ss.update(stream)
         for t in ss.top(50):
-            assert t.guaranteed_count <= truth[t.item] <= t.count
+            assert guaranteed_count(t) <= truth[t.item] <= t.count
 
     def test_heavy_hitters_present(self):
         """Any item with frequency > N/capacity must be monitored."""
@@ -111,7 +128,7 @@ class TestGuarantees:
         ss.update(stream)
         k = 10
         true_top = {item for item, _ in truth.most_common(k)}
-        for t in ss.guaranteed_top(k):
+        for t in guaranteed_top(ss, k):
             assert t.item in true_top
 
 
@@ -127,7 +144,7 @@ class TestMerge:
         truth = Counter(stream_a + stream_b)
         for t in a.top(50):
             assert truth[t.item] <= t.count
-            assert t.guaranteed_count <= truth[t.item]
+            assert guaranteed_count(t) <= truth[t.item]
 
     def test_merge_total(self):
         a, b = SpaceSaving(10), SpaceSaving(10)
@@ -148,6 +165,6 @@ def test_property_count_is_upper_bound(stream, capacity):
     ss.update(stream)
     for t in ss.top(capacity):
         assert t.count >= truth[t.item]
-        assert t.guaranteed_count <= truth[t.item]
+        assert guaranteed_count(t) <= truth[t.item]
     assert len(ss) <= capacity
     assert ss.total == len(stream)
